@@ -15,7 +15,7 @@ from .analysis import (
     tunneling_from_splitting,
     zeeman_threshold,
 )
-from .constants import CONSTANTS, K_B_OVER_H_GHZ, MU_B_OVER_K_B, PhysicalConstants
+from .constants import K_B_OVER_H_GHZ, MU_B_OVER_K_B
 from .jacobi import DiagonalizationError, jacobi_eigh
 from .model import (
     BASIS_LABELS,
@@ -50,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArrheniusProcess",
     "BASIS_LABELS",
-    "CONSTANTS",
     "DY2S_C82",
     "DegenerateParametersError",
     "DiagonalizationError",
@@ -63,7 +62,6 @@ __all__ = [
     "ModelParams",
     "MoleculeReference",
     "Moment",
-    "PhysicalConstants",
     "REFERENCE_MOLECULES",
     "RelaxationDataset",
     "RelaxationModel",

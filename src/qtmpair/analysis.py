@@ -73,7 +73,9 @@ def sweep_ratio(ratio_min, ratio_max, n_points):
     Evaluates the closed-form eigensystem at ``n_points`` uniformly spaced
     ratios with A fixed to 1.
     """
-    _check_sweep_args(ratio_min, ratio_max, n_points)
+    if not (np.isfinite(ratio_min) and np.isfinite(ratio_max)) or ratio_min >= ratio_max:
+        raise ValueError(f"need finite ratio_min < ratio_max, got {ratio_min} and {ratio_max}")
+    _check_points(n_points)
     ratios = np.linspace(ratio_min, ratio_max, n_points)
     rows = np.empty((n_points, 4))
     for i, ratio in enumerate(ratios):
@@ -91,7 +93,9 @@ def sweep_field(params, max_field_ratio, n_points):
     are in kelvin.  Choose ``max_field_ratio`` > 1 to cover the level
     crossing region around B_Zt.
     """
-    _check_sweep_args(0.0, max_field_ratio, n_points)
+    if not 0.0 < max_field_ratio < np.inf:
+        raise ValueError(f"max_field_ratio must be positive and finite, got {max_field_ratio}")
+    _check_points(n_points)
     b_zt = zeeman_threshold(params)
     if b_zt == 0.0:
         raise ValueError("field scale B_Zt vanishes for u = 0; field sweep is undefined")
@@ -108,9 +112,7 @@ def sweep_field(params, max_field_ratio, n_points):
     )
 
 
-def _check_sweep_args(lo, hi, n_points):
-    if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
-        raise ValueError(f"invalid sweep range [{lo}, {hi}]")
+def _check_points(n_points):
     if int(n_points) != n_points or n_points < 2:
         raise ValueError(f"n_points must be an integer >= 2, got {n_points}")
 
@@ -121,8 +123,6 @@ def zeeman_threshold(params):
     At this field along y the Zeeman energy of the antiferromagnetic
     doublet compensates the splitting U and the diabatic levels cross.
     """
-    if params.mu_y <= 0:
-        raise ValueError("mu_y must be positive")
     return abs(params.u) / (2.0 * params.mu_y * MU_B_OVER_K_B)
 
 

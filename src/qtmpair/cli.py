@@ -1,10 +1,12 @@
 """Command-line interface: plot-ready spectrum tables, scalar extraction,
 time traces, and Arrhenius dataset synthesis/fitting.
 
-Exit codes: 0 on success, 2 for argument errors (usage text on stderr),
-3 for domain errors such as a non-convergent fit (machine-readable JSON
-diagnostic on stderr).  Output is byte-reproducible for identical inputs:
-floats are printed as shortest round-trip decimals.
+Exit codes: 0 on success, 2 for argument errors (usage text on stderr;
+every ``ValueError`` a handler raises, including the library's own
+parameter checks, is reported this way), 3 for domain errors such as a
+non-convergent fit (machine-readable JSON diagnostic on stderr).  Output
+is byte-reproducible for identical inputs: floats are printed as
+shortest round-trip decimals.
 """
 
 import argparse
@@ -34,6 +36,7 @@ from .model import (
     moment_expectation,
 )
 from .relaxation import (
+    MAX_PROCESSES,
     ArrheniusProcess,
     DegenerateParametersError,
     RelaxationModel,
@@ -62,14 +65,13 @@ class DomainError(RuntimeError):
         return json.dumps(payload, indent=2) + "\n"
 
 
-def _add_model_flags(sub, with_mu_x=True):
+def _add_model_flags(sub):
     sub.add_argument("--u", type=float, required=True, help="doublet splitting U (kelvin)")
     sub.add_argument("--a", type=float, required=True, help="tunneling element A (kelvin, >= 0)")
-    if with_mu_x:
-        sub.add_argument(
-            "--mu-x", type=float, default=None,
-            help="pair moment along x (Bohr magnetons; defaults to --mu-y)",
-        )
+    sub.add_argument(
+        "--mu-x", type=float, default=None,
+        help="pair moment along x (Bohr magnetons; defaults to --mu-y)",
+    )
     sub.add_argument(
         "--mu-y", type=float, required=True, help="pair moment along y (Bohr magnetons)"
     )
@@ -82,20 +84,13 @@ def _add_output_flag(sub):
     )
 
 
-def _model_params(args, parser):
-    mu_x = getattr(args, "mu_x", None)
-    if mu_x is None:
-        mu_x = args.mu_y
-    try:
-        return ModelParams(u=args.u, a=args.a, mu_x=mu_x, mu_y=args.mu_y)
-    except ValueError as err:
-        parser.error(str(err))
+def _model_params(args):
+    mu_x = args.mu_y if args.mu_x is None else args.mu_x
+    return ModelParams(u=args.u, a=args.a, mu_x=mu_x, mu_y=args.mu_y)
 
 
 def _field(args):
-    return FieldVector(
-        bx=getattr(args, "bx", 0.0), by=getattr(args, "by", 0.0), bz=getattr(args, "bz", 0.0)
-    )
+    return FieldVector(bx=args.bx, by=args.by, bz=args.bz)
 
 
 def build_parser():
@@ -184,7 +179,10 @@ def build_parser():
         ),
     )
     sub.add_argument("--input", metavar="PATH", required=True, help="dataset CSV file")
-    sub.add_argument("--processes", type=int, required=True, help="number of channels (1..4)")
+    sub.add_argument(
+        "--processes", type=int, required=True, choices=range(1, MAX_PROCESSES + 1),
+        help=f"number of channels (1..{MAX_PROCESSES})",
+    )
     sub.add_argument("--format", choices=("json",), default="json", help="report format")
     sub.add_argument(
         "--curve-output", metavar="PATH", default=None,
@@ -249,30 +247,18 @@ def build_parser():
 
 # ---------------------------------------------------------------- handlers
 
-def _cmd_spectrum_ua(args, parser):
-    if args.points < 2:
-        parser.error("--points must be >= 2")
-    if not args.min < args.max:
-        parser.error("--min must be smaller than --max")
+def _cmd_spectrum_ua(args):
     table = sweep_ratio(args.min, args.max, args.points)
     return table.to_csv() if args.format == "csv" else table.to_json()
 
 
-def _cmd_spectrum_field(args, parser):
-    if args.points < 2:
-        parser.error("--points must be >= 2")
-    if args.max <= 0:
-        parser.error("--max must be > 0 (units of B_Zt)")
-    params = _model_params(args, parser)
-    if params.u == 0.0:
-        parser.error("--u must be nonzero: the field scale B_Zt = U/(2 mu_y) vanishes")
-    table = sweep_field(params, args.max, args.points)
+def _cmd_spectrum_field(args):
+    table = sweep_field(_model_params(args), args.max, args.points)
     return table.to_csv() if args.format == "csv" else table.to_json()
 
 
-def _cmd_eigen(args, parser):
-    params = _model_params(args, parser)
-    es = eigensystem(build_hamiltonian(params, _field(args)))
+def _cmd_eigen(args):
+    es = eigensystem(build_hamiltonian(_model_params(args), _field(args)))
     payload = {
         "values_K": es.values.tolist(),
         "vectors": [es.vectors[:, j].tolist() for j in range(4)],
@@ -285,37 +271,30 @@ def _cmd_eigen(args, parser):
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _cmd_extract(args, parser):
+def _cmd_extract(args):
     delta = args.delta
     splitting_from_model = None
     if args.u is not None and args.a is not None:
-        try:
-            splitting_from_model = ground_splitting(
-                ModelParams(u=args.u, a=args.a, mu_x=1.0, mu_y=1.0)
-            )
-        except ValueError as err:
-            parser.error(str(err))
+        splitting_from_model = ground_splitting(
+            ModelParams(u=args.u, a=args.a, mu_x=1.0, mu_y=1.0)
+        )
     if delta is None:
         delta = splitting_from_model
     if delta is None:
-        parser.error("provide --delta, or both --u and --a to compute the splitting")
-    if delta < 0:
-        parser.error("--delta must be >= 0")
-    if args.mode == "exact" and (args.u is None or args.u < 0):
-        parser.error("--mode exact requires --u >= 0")
+        raise ValueError("provide --delta, or both --u and --a to compute the splitting")
+    if args.mode == "exact" and args.u is None:
+        raise ValueError("--mode exact requires --u >= 0")
 
     report = {"splitting_K": delta}
     report["tunneling_paper_K"] = (
         tunneling_from_splitting(delta, mode="paper") if args.mode in ("paper", "both") else None
     )
-    if args.mode in ("exact", "both") and args.u is not None and args.u >= 0:
+    if args.mode == "exact" or (args.mode == "both" and args.u is not None and args.u >= 0):
         report["tunneling_exact_K"] = tunneling_from_splitting(delta, u=args.u, mode="exact")
     else:
         report["tunneling_exact_K"] = None
     report["frequency_GHz"] = kelvin_to_gigahertz(delta)
     if args.u is not None and args.mu_y is not None:
-        if args.mu_y <= 0:
-            parser.error("--mu-y must be > 0")
         report["zeeman_threshold_T"] = zeeman_threshold(
             ModelParams(u=args.u, a=0.0, mu_x=1.0, mu_y=args.mu_y)
         )
@@ -325,13 +304,11 @@ def _cmd_extract(args, parser):
     return json.dumps(report, indent=2) + "\n"
 
 
-def _cmd_fit(args, parser):
-    if not 1 <= args.processes <= 4:
-        parser.error("--processes must be in 1..4")
+def _cmd_fit(args):
     try:
         data = load_dataset(args.input)
     except FileNotFoundError:
-        parser.error(f"input file not found: {args.input}")
+        raise ValueError(f"input file not found: {args.input}") from None
     except ValueError as err:
         raise DomainError("DatasetError", str(err), path=args.input) from err
 
@@ -361,31 +338,22 @@ def _cmd_fit(args, parser):
     return result.to_json()
 
 
-def _cmd_synth(args, parser):
-    if args.points < 1:
-        parser.error("--points must be >= 1")
-    if not 0 < args.t_min <= args.t_max:
-        parser.error("need 0 < --t-min <= --t-max")
-    if args.noise < 0:
-        parser.error("--noise must be >= 0")
-    if len(args.process) > 4:
-        parser.error("at most 4 --process channels are supported")
-    try:
-        model = RelaxationModel(
-            processes=tuple(ArrheniusProcess(tau0=p[0], delta=p[1]) for p in args.process)
-        )
-    except ValueError as err:
-        parser.error(str(err))
+def _cmd_synth(args):
+    if not 0 < args.t_min <= args.t_max < np.inf:
+        raise ValueError("need 0 < --t-min <= --t-max, both finite")
+    model = RelaxationModel(
+        processes=tuple(ArrheniusProcess(tau0=p[0], delta=p[1]) for p in args.process)
+    )
     temps = np.geomspace(args.t_min, args.t_max, args.points)
     return synthesize(model, temps, noise_sigma=args.noise, seed=args.seed).to_csv()
 
 
-def _cmd_evolve(args, parser):
+def _cmd_evolve(args):
     if args.points < 2:
-        parser.error("--points must be >= 2")
-    if args.t_max <= 0:
-        parser.error("--t-max must be > 0 (nanoseconds)")
-    params = _model_params(args, parser)
+        raise ValueError("--points must be >= 2")
+    if not 0 < args.t_max < np.inf:
+        raise ValueError("--t-max must be > 0 and finite (nanoseconds)")
+    params = _model_params(args)
     hamiltonian = build_hamiltonian(params, _field(args))
     initial = basis_state(args.initial)
     lines = ["t_ns,p1,p1bar,p2,p2bar,mx,my"]
@@ -409,7 +377,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        output = args.handler(args, args._parser)
+        output = args.handler(args)
+    except ValueError as err:
+        args._parser.error(str(err))
     except DomainError as err:
         sys.stderr.write(err.to_json())
         return EXIT_DOMAIN

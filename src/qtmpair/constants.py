@@ -8,29 +8,9 @@ two CODATA-derived ratios below are the only conversions ever needed:
     k_B / h    : oscillation frequency of a 1 kelvin splitting, in GHz
 """
 
-from dataclasses import dataclass
-
 # Bohr magneton over Boltzmann constant [K/T]
 MU_B_OVER_K_B = 0.671714
 
 # Boltzmann constant over Planck constant [GHz/K]
 K_B_OVER_H_GHZ = 20.836619
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Immutable bundle of the unit-conversion ratios.
-
-    Attributes
-    ----------
-    mu_b_over_kb : float
-        Field-to-temperature conversion, kelvin per (tesla * Bohr magneton).
-    kb_over_h_ghz : float
-        Temperature-to-frequency conversion, gigahertz per kelvin.
-    """
-
-    mu_b_over_kb: float = MU_B_OVER_K_B
-    kb_over_h_ghz: float = K_B_OVER_H_GHZ
-
-
-CONSTANTS = PhysicalConstants()

@@ -53,15 +53,15 @@ class ModelParams:
     mu_y: float
 
     def __post_init__(self):
-        vals = (self.u, self.a, self.mu_x, self.mu_y)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError(f"model parameters must be finite, got {vals}")
+        for name in ("u", "a", "mu_y", "mu_x"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"model parameter {name} must be finite, got {value}")
         if self.a < 0:
             raise ValueError(f"tunneling element a must be >= 0, got {self.a}")
-        if self.mu_x <= 0 or self.mu_y <= 0:
-            raise ValueError(
-                f"moments must be positive, got mu_x={self.mu_x}, mu_y={self.mu_y}"
-            )
+        for name in ("mu_y", "mu_x"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"moment {name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -202,10 +202,7 @@ class FitResult:
     objective_trace: tuple = field(default=(), repr=False)
 
     def parameter_names(self):
-        names = []
-        for i in range(len(self.model.processes)):
-            names += [f"ln_tau0_{i + 1}", f"delta_{i + 1}"]
-        return names
+        return _parameter_names(len(self.model.processes))
 
     def to_json(self):
         data = {
@@ -231,28 +228,27 @@ def _theta_of(model):
     return np.array(theta)
 
 
-def _ln_lifetime(theta, t):
-    """ln tau of the parallel-channel model; theta = (ln tau0_i, delta_i)."""
-    rate = np.zeros_like(t)
-    with np.errstate(over="ignore"):
-        for i in range(len(theta) // 2):
-            rate += np.exp(-theta[2 * i] - theta[2 * i + 1] / t)
-    with np.errstate(divide="ignore"):
-        return -np.log(rate)
+def _parameter_names(n_processes):
+    return [f"{kind}_{i + 1}" for i in range(n_processes) for kind in ("ln_tau0", "delta")]
 
 
-def _jacobian(theta, t):
-    """d ln(tau_model) / d theta; rows are data points."""
+def _evaluate(theta, t):
+    """ln tau of the parallel-channel model and d ln tau / d theta.
+
+    theta = (ln tau0_1, delta_1, ln tau0_2, ...); Jacobian rows are data
+    points.  Rates that underflow to 0 or overflow give ln tau = +-inf and
+    a NaN Jacobian silently; ``fit`` rejects such candidates by objective.
+    """
     n = len(theta) // 2
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         channel = np.stack(
             [np.exp(-theta[2 * i] - theta[2 * i + 1] / t) for i in range(n)], axis=1
         )
-    rate = channel.sum(axis=1)
-    jac = np.empty((len(t), 2 * n))
-    jac[:, 0::2] = channel / rate[:, None]
-    jac[:, 1::2] = channel / (rate * t)[:, None]
-    return jac
+        rate = channel.sum(axis=1)
+        jac = np.empty((len(t), 2 * n))
+        jac[:, 0::2] = channel / rate[:, None]
+        jac[:, 1::2] = channel / (rate * t)[:, None]
+        return -np.log(rate), jac
 
 
 def model_lifetime(model, t_kelvin):
@@ -263,7 +259,7 @@ def model_lifetime(model, t_kelvin):
     t = np.asarray(t_kelvin, dtype=float)
     if not np.all(np.isfinite(t)) or np.any(t <= 0.0):
         raise ValueError(f"temperatures must be positive and finite, got {t_kelvin}")
-    tau = np.exp(_ln_lifetime(_theta_of(model), np.atleast_1d(t)))
+    tau = np.exp(_evaluate(_theta_of(model), np.atleast_1d(t))[0])
     return float(tau[0]) if t.ndim == 0 else tau
 
 
@@ -276,9 +272,9 @@ def synthesize(model, temperatures, noise_sigma=0.0, seed=0):
     """
     temps = np.asarray(temperatures, dtype=float)
     if temps.size == 0:
-        raise ValueError("temperature list must not be empty")
+        raise ValueError(f"temperatures must hold at least one value, got {temps.size}")
     if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     eps = np.random.default_rng(seed).standard_normal(temps.size) * noise_sigma
     taus = model_lifetime(model, temps) * np.exp(eps)
     points = tuple(
@@ -368,17 +364,14 @@ def fit(data, n_processes, init=None):
     else:
         theta = _segmented_init(t, y, n_processes)
 
-    def objective(th):
-        return float(np.sum(weights * (y - _ln_lifetime(th, t)) ** 2))
-
-    obj = objective(theta)
+    ln_tau, jac = _evaluate(theta, t)
+    residual = y - ln_tau
+    obj = float(np.sum(weights * residual**2))
     trace = [obj]
     damping = 1e-3
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
-        residual = y - _ln_lifetime(theta, t)
-        jac = _jacobian(theta, t)
         jtw = jac.T * weights
         normal = jtw @ jac
         gradient = jtw @ residual
@@ -392,10 +385,12 @@ def fit(data, n_processes, init=None):
                 damping *= DAMPING_FACTOR
                 continue
             candidate = theta + step
-            cand_obj = objective(candidate)
+            cand_ln_tau, cand_jac = _evaluate(candidate, t)
+            cand_residual = y - cand_ln_tau
+            cand_obj = float(np.sum(weights * cand_residual**2))
             if np.isfinite(cand_obj) and cand_obj <= obj:
                 change = obj - cand_obj
-                theta, obj = candidate, cand_obj
+                theta, obj, residual, jac = candidate, cand_obj, cand_residual, cand_jac
                 trace.append(obj)
                 damping = max(damping / DAMPING_FACTOR, 1e-15)
                 accepted = True
@@ -410,11 +405,9 @@ def fit(data, n_processes, init=None):
             break
 
     theta = _sorted_pairs(theta)
-    residual = y - _ln_lifetime(theta, t)
-    jac = _jacobian(theta, t)
-    jtw = jac.T * weights
-    normal = jtw @ jac
-    covariance, std_errors = _covariance(normal, residual, weights, n_params)
+    ln_tau, jac = _evaluate(theta, t)
+    residual = y - ln_tau
+    covariance, std_errors = _covariance((jac.T * weights) @ jac, residual, weights, n_params)
 
     model = RelaxationModel(
         processes=tuple(
@@ -456,7 +449,5 @@ def _degenerate_pair(normal, n_params):
     _, vecs = np.linalg.eigh(corr)
     null = np.abs(vecs[:, 0])
     first, second = np.argsort(null)[-2:][::-1]
-    names = []
-    for i in range(n_params // 2):
-        names += [f"ln_tau0_{i + 1}", f"delta_{i + 1}"]
+    names = _parameter_names(n_params // 2)
     return (names[first], names[second])

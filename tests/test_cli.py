@@ -198,6 +198,29 @@ def test_evolve_trace(capsys):
     assert rows[:, 2].max() > 0.9                        # strong transfer to |1bar>
 
 
+# ------------------------------------------------------- rejected values
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "spectrum-ua --min 0 --max inf --points 5",
+        "spectrum-field --u 10 --a 1 --mu-y 10 --max inf --points 5",
+        "eigen --u 10 --a 1 --mu-y 1 --bx inf",
+        "evolve --u 10 --a 1 --mu-y 10 --by nan --t-max 1 --points 3",
+        "extract --delta nan",
+        "extract --delta inf",
+        "extract --delta 0.3 --u nan --mu-y 1",
+        "synth --process 1 1 --t-min 1 --t-max 2 --points 3 --noise nan",
+        "synth --process 1 1 --t-min 1 --t-max inf --points 3",
+        "evolve --u 10 --a 1 --mu-y 10 --t-max inf --points 3",
+        "evolve --u 10 --a 1 --mu-y 10 --t-max nan --points 3",
+    ],
+)
+def test_library_rejections_are_usage_errors(capsys, argv):
+    # values the library rejects, non-finite ones included, exit 2 with usage
+    assert "usage" in run_usage_error(capsys, argv.split())
+
+
 # ----------------------------------------------------------- determinism
 
 def test_outputs_are_byte_identical_across_runs(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qtmpair.relaxation import (
     LifetimePoint,
     RelaxationDataset,
     RelaxationModel,
+    _evaluate,
     fit,
     load_dataset,
     model_lifetime,
@@ -29,6 +31,41 @@ def brute_force_lifetime(processes, t):
     for tau0, delta in processes:
         rate += math.exp(-delta / t) / tau0
     return 1.0 / rate
+
+
+# ------------------------------------------------------- model evaluation
+
+def test_jacobian_matches_central_differences():
+    """The Jacobian from ``_evaluate`` equals central finite differences of
+    its own ln tau (step 1e-5) to a relative tolerance of 1e-6, with an
+    absolute floor of 1e-8 for entries of channels that never dominate."""
+    rng = np.random.default_rng(2024)
+    t = np.geomspace(0.3, 50.0, 25)
+    step = 1e-5
+    for _ in range(100):
+        n = int(rng.integers(1, 5))
+        theta = np.empty(2 * n)
+        theta[0::2] = rng.uniform(-10.0, 5.0, n)    # ln tau0
+        theta[1::2] = rng.uniform(0.0, 30.0, n)     # delta
+        _, jac = _evaluate(theta, t)
+        for j in range(2 * n):
+            shift = np.zeros(2 * n)
+            shift[j] = step
+            upper, _ = _evaluate(theta + shift, t)
+            lower, _ = _evaluate(theta - shift, t)
+            np.testing.assert_allclose(
+                jac[:, j], (upper - lower) / (2 * step), rtol=1e-6, atol=1e-8
+            )
+
+
+def test_evaluate_is_silent_when_rates_underflow():
+    # a far-off fit candidate: every rate underflows to 0, so ln tau = +inf
+    theta = np.array([800.0, 0.0, 5.0, 1.0e5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ln_tau, jac = _evaluate(theta, GRID_30)
+    assert np.all(ln_tau == np.inf)
+    assert jac.shape == (30, 4)
 
 
 # ------------------------------------------------------------------ types
