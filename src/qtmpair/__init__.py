@@ -16,7 +16,6 @@ from .analysis import (
     zeeman_threshold,
 )
 from .constants import K_B_OVER_H_GHZ, MU_B_OVER_K_B
-from .jacobi import DiagonalizationError, jacobi_eigh
 from .model import (
     BASIS_LABELS,
     EigenSystem,
@@ -52,7 +51,6 @@ __all__ = [
     "BASIS_LABELS",
     "DY2S_C82",
     "DegenerateParametersError",
-    "DiagonalizationError",
     "EigenSystem",
     "FieldVector",
     "FitResult",
@@ -73,7 +71,6 @@ __all__ = [
     "evolve",
     "fit",
     "ground_splitting",
-    "jacobi_eigh",
     "kelvin_to_gigahertz",
     "load_dataset",
     "model_lifetime",

@@ -14,14 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import K_B_OVER_H_GHZ, MU_B_OVER_K_B
-from .model import (
-    FieldVector,
-    ModelParams,
-    build_hamiltonian,
-    eigensystem,
-    moment_expectation,
-    zero_field_eigensystem,
-)
+from .model import eigensystem, hamiltonian_stack, moment_expectation, zero_field_values
 from .serialize import fmt
 
 
@@ -70,19 +63,16 @@ class SweepTable:
 def sweep_ratio(ratio_min, ratio_max, n_points):
     """Zero-field spectrum versus U/A, reported in units of A.
 
-    Evaluates the closed-form eigensystem at ``n_points`` uniformly spaced
+    Evaluates the closed-form eigenvalues at ``n_points`` uniformly spaced
     ratios with A fixed to 1.
     """
     if not (np.isfinite(ratio_min) and np.isfinite(ratio_max)) or ratio_min >= ratio_max:
         raise ValueError(f"need finite ratio_min < ratio_max, got {ratio_min} and {ratio_max}")
     _check_points(n_points)
     ratios = np.linspace(ratio_min, ratio_max, n_points)
-    rows = np.empty((n_points, 4))
-    for i, ratio in enumerate(ratios):
-        rows[i] = zero_field_eigensystem(
-            ModelParams(u=float(ratio), a=1.0, mu_x=1.0, mu_y=1.0)
-        ).values
-    return SweepTable(axis_name="U/A", axis_values=ratios, eigenvalues=rows)
+    return SweepTable(
+        axis_name="U/A", axis_values=ratios, eigenvalues=zero_field_values(ratios, 1.0)
+    )
 
 
 def sweep_field(params, max_field_ratio, n_points):
@@ -91,7 +81,8 @@ def sweep_field(params, max_field_ratio, n_points):
     Sweeps By from 0 to ``max_field_ratio`` times the threshold field
     B_Zt = U / (2 mu_y); the axis is dimensionless By/B_Zt, eigenvalues
     are in kelvin.  Choose ``max_field_ratio`` > 1 to cover the level
-    crossing region around B_Zt.
+    crossing region around B_Zt.  All points are diagonalized in one
+    stacked call.
     """
     if not 0.0 < max_field_ratio < np.inf:
         raise ValueError(f"max_field_ratio must be positive and finite, got {max_field_ratio}")
@@ -100,15 +91,13 @@ def sweep_field(params, max_field_ratio, n_points):
     if b_zt == 0.0:
         raise ValueError("field scale B_Zt vanishes for u = 0; field sweep is undefined")
     fractions = np.linspace(0.0, max_field_ratio, n_points)
-    rows = np.empty((n_points, 4))
-    moments = np.empty((n_points, 2))
-    for i, frac in enumerate(fractions):
-        es = eigensystem(build_hamiltonian(params, FieldVector(by=frac * b_zt)))
-        rows[i] = es.values
-        m = moment_expectation(es.vectors[:, 0], params)
-        moments[i] = (m.mx, m.my)
+    es = eigensystem(hamiltonian_stack(params, by=fractions * b_zt))
+    ground = moment_expectation(es.vectors[..., 0], params)
     return SweepTable(
-        axis_name="By/B_Zt", axis_values=fractions, eigenvalues=rows, ground_moments=moments
+        axis_name="By/B_Zt",
+        axis_values=fractions,
+        eigenvalues=es.values,
+        ground_moments=np.column_stack([ground.mx, ground.my]),
     )
 
 

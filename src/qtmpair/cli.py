@@ -24,7 +24,6 @@ from .analysis import (
     tunneling_from_splitting,
     zeeman_threshold,
 )
-from .jacobi import DiagonalizationError
 from .model import (
     BASIS_LABELS,
     FieldVector,
@@ -157,7 +156,11 @@ def build_parser():
         ),
     )
     sub.add_argument("--delta", type=float, default=None, help="ground-state splitting (kelvin)")
-    sub.add_argument("--u", type=float, default=None, help="doublet splitting U (kelvin)")
+    sub.add_argument(
+        "--u", type=float, default=None,
+        help="doublet splitting U (kelvin, finite); with a negative U, --mode both "
+        "reports tunneling_exact_K as null",
+    )
     sub.add_argument("--a", type=float, default=None, help="tunneling element A (kelvin)")
     sub.add_argument("--mu-y", type=float, default=None, help="pair moment along y (Bohr magnetons)")
     sub.add_argument(
@@ -190,7 +193,7 @@ def build_parser():
     )
     sub.add_argument(
         "--grid-points", type=int, default=200,
-        help="size of the dense log-spaced temperature grid for the curve",
+        help="size of the dense log-spaced temperature grid for the curve (>= 2)",
     )
     _add_output_flag(sub)
     sub.set_defaults(handler=_cmd_fit)
@@ -272,6 +275,8 @@ def _cmd_eigen(args):
 
 
 def _cmd_extract(args):
+    if args.u is not None and not np.isfinite(args.u):
+        raise ValueError(f"--u must be finite, got {args.u}")
     delta = args.delta
     splitting_from_model = None
     if args.u is not None and args.a is not None:
@@ -305,6 +310,8 @@ def _cmd_extract(args):
 
 
 def _cmd_fit(args):
+    if args.grid_points < 2:
+        raise ValueError(f"--grid-points must be >= 2, got {args.grid_points}")
     try:
         data = load_dataset(args.input)
     except FileNotFoundError:
@@ -330,7 +337,7 @@ def _cmd_fit(args):
 
     if args.curve_output is not None:
         temps = data.temperatures()
-        grid = np.geomspace(temps.min(), temps.max(), max(args.grid_points, 2))
+        grid = np.geomspace(temps.min(), temps.max(), args.grid_points)
         sample = np.unique(np.concatenate([temps, grid]))
         taus = model_lifetime(result.model, sample)
         lines = ["T_K,tau_s"] + [f"{fmt(t)},{fmt(tau)}" for t, tau in zip(sample, taus)]
@@ -354,15 +361,13 @@ def _cmd_evolve(args):
     if not 0 < args.t_max < np.inf:
         raise ValueError("--t-max must be > 0 and finite (nanoseconds)")
     params = _model_params(args)
-    hamiltonian = build_hamiltonian(params, _field(args))
-    initial = basis_state(args.initial)
+    times = np.linspace(0.0, args.t_max, args.points)
+    states = evolve(basis_state(args.initial), build_hamiltonian(params, _field(args)), times)
+    populations = np.abs(states) ** 2
+    moments = moment_expectation(states, params)
     lines = ["t_ns,p1,p1bar,p2,p2bar,mx,my"]
-    for t in np.linspace(0.0, args.t_max, args.points):
-        state = evolve(initial, hamiltonian, t)
-        populations = np.abs(state) ** 2
-        moment = moment_expectation(state, params)
-        cells = [fmt(t)] + [fmt(p) for p in populations] + [fmt(moment.mx), fmt(moment.my)]
-        lines.append(",".join(cells))
+    for t, pop, mx, my in zip(times, populations, moments.mx, moments.my):
+        lines.append(",".join([fmt(t), *(fmt(p) for p in pop), fmt(mx), fmt(my)]))
     return "\n".join(lines) + "\n"
 
 
@@ -382,13 +387,6 @@ def main(argv=None):
         args._parser.error(str(err))
     except DomainError as err:
         sys.stderr.write(err.to_json())
-        return EXIT_DOMAIN
-    except DiagonalizationError as err:
-        sys.stderr.write(
-            DomainError(
-                "DiagonalizationError", str(err), off_diagonal_norm=err.off_diagonal_norm
-            ).to_json()
-        )
         return EXIT_DOMAIN
     if args.output is not None:
         _write_text(args.output, output)

@@ -19,11 +19,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import K_B_OVER_H_GHZ, MU_B_OVER_K_B
-from .jacobi import jacobi_eigh
 
 BASIS_LABELS = ("1", "1bar", "2", "2bar")
 
 NORM_TOL = 1e-9
+# Eigenvalues closer than this, relative to the largest |eigenvalue|, form
+# an exactly degenerate cluster.  LAPACK splits exact degeneracies of this
+# model by a few machine epsilons; the zero-field ground gap is this small
+# only beyond U/A ~ 6e6, where eigenvectors cannot resolve it anyway.
+CLUSTER_RTOL = 1e-13
+# A projection shorter than this adds no direction when a degenerate
+# cluster's basis is pinned; one at least this long always remains.
+PIN_MIN_NORM = 1e-3
+# Basis orders with |1> <-> |1bar> and with |2> <-> |2bar> swapped.
+_DOUBLET_SWAPS = np.array([[1, 0, 2, 3], [0, 1, 3, 2]])
 
 
 @dataclass(frozen=True)
@@ -94,13 +103,16 @@ class Moment(NamedTuple):
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Sorted spectral decomposition of the 4x4 Hamiltonian.
+    """Sorted spectral decomposition of one or a stack of 4x4 Hamiltonians.
 
-    ``values`` are the eigenvalues in kelvin, ascending.  ``vectors``
-    holds the orthonormal eigenvectors as columns aligned with
-    ``values``; in each column the component of largest magnitude is
-    made positive so the output is deterministic.  Within a degenerate
-    eigenvalue cluster only the spanned subspace is meaningful.
+    ``values`` (shape ``(..., 4)``) are the eigenvalues in kelvin,
+    ascending.  ``vectors`` (shape ``(..., 4, 4)``) holds the orthonormal
+    eigenvectors as columns aligned with ``values``.  In each column the
+    amplitude of largest magnitude is made positive.  Within an exactly
+    degenerate cluster the basis is pinned instead: Gram-Schmidt of the
+    projections of |1>, |1bar>, |2>, |2bar>, in that order, onto the
+    cluster's subspace, each vector with a positive amplitude on the basis
+    state it was projected from.  The output is thus deterministic.
     """
 
     values: np.ndarray
@@ -108,17 +120,13 @@ class EigenSystem:
 
 
 def _canonical_signs(vectors):
-    """Flip eigenvector columns so the largest-magnitude entry is positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        k = int(np.argmax(np.abs(out[:, j])))
-        if out[k, j] < 0:
-            out[:, j] = -out[:, j]
-    return out
+    """Flip columns of a (..., 4, 4) stack so each largest-magnitude entry is positive."""
+    lead = np.take_along_axis(vectors, np.argmax(np.abs(vectors), axis=-2)[..., None, :], axis=-2)
+    return np.where(lead < 0, -vectors, vectors)
 
 
-def build_hamiltonian(params, field=ZERO_FIELD):
-    """Assemble the 4x4 pair Hamiltonian, optionally with Zeeman terms.
+def hamiltonian_stack(params, bx=0.0, by=0.0):
+    """Assemble pair Hamiltonians for broadcastable field components.
 
     In the basis (|1>, |1bar>, |2>, |2bar>) every single-flip pair of
     states is connected by -A, double flips are zero, and the diagonal
@@ -128,6 +136,43 @@ def build_hamiltonian(params, field=ZERO_FIELD):
         diag = (-e1, +e1, U - e2, U + e2)
 
     with e1 = 2*mu_x*Bx and e2 = 2*mu_y*By (converted to kelvin).
+
+    Parameters
+    ----------
+    params : ModelParams
+    bx, by : float or array_like
+        Field components in tesla; their broadcast shape is the stack shape.
+
+    Returns
+    -------
+    (..., 4, 4) ndarray
+        Real symmetric matrices in kelvin.
+
+    Raises
+    ------
+    ValueError
+        If a field component is not finite or a Zeeman energy overflows.
+    """
+    bx, by = np.asarray(bx, dtype=float), np.asarray(by, dtype=float)
+    h = np.full(np.broadcast_shapes(bx.shape, by.shape) + (4, 4), -params.a)
+    h[..., [0, 1, 2, 3], [1, 0, 3, 2]] = 0.0
+    with np.errstate(over="ignore"):
+        e1 = 2.0 * params.mu_x * bx * MU_B_OVER_K_B
+        e2 = 2.0 * params.mu_y * by * MU_B_OVER_K_B
+        h[..., 0, 0] = -e1
+        h[..., 1, 1] = e1
+        h[..., 2, 2] = params.u - e2
+        h[..., 3, 3] = params.u + e2
+    if not np.isfinite(h).all():
+        bad = ~np.isfinite(h).all(axis=(-2, -1))
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        bx, by = np.broadcast_arrays(bx, by)
+        raise ValueError(f"Zeeman energy is not finite at field bx={bx[i]}, by={by[i]} T")
+    return h
+
+
+def build_hamiltonian(params, field=ZERO_FIELD):
+    """Assemble the 4x4 pair Hamiltonian at one field (see :func:`hamiltonian_stack`).
 
     Parameters
     ----------
@@ -149,68 +194,139 @@ def build_hamiltonian(params, field=ZERO_FIELD):
             "field component bz has no effect: the pair moments lie in the x-y plane",
             stacklevel=2,
         )
-    a = params.a
-    e1 = 2.0 * params.mu_x * field.bx * MU_B_OVER_K_B
-    e2 = 2.0 * params.mu_y * field.by * MU_B_OVER_K_B
-    return np.array(
-        [
-            [-e1, 0.0, -a, -a],
-            [0.0, e1, -a, -a],
-            [-a, -a, params.u - e2, 0.0],
-            [-a, -a, 0.0, params.u + e2],
-        ]
-    )
+    return hamiltonian_stack(params, field.bx, field.by)
 
 
 def eigensystem(h):
-    """Numerically diagonalize a symmetric 4x4 Hamiltonian.
+    """Diagonalize one symmetric 4x4 Hamiltonian or a stack of them.
 
-    Uses cyclic Jacobi rotations (see :mod:`qtmpair.jacobi`).  Raises
-    ``ValueError`` if ``h`` is not symmetric as stored, and propagates
-    :class:`~qtmpair.jacobi.DiagonalizationError` if the rotation sweep
-    cap is hit (e.g. for NaN input).
+    All matrices go through one batched LAPACK call (``np.linalg.eigh``).
+    ``h`` has shape ``(4, 4)`` or ``(n, 4, 4)``; the result has ``values``
+    of shape ``(..., 4)`` and ``vectors`` of shape ``(..., 4, 4)``, with
+    the conventions of :class:`EigenSystem`.  Raises ``ValueError`` if an
+    entry is not finite or a matrix is not symmetric as stored.
     """
     h = np.asarray(h, dtype=float)
-    if h.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {h.shape}")
-    if not np.array_equal(h, h.T, equal_nan=True):
+    if h.ndim not in (2, 3) or h.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix or a stack of them, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValueError("Hamiltonian has non-finite entries")
+    if not (h == np.swapaxes(h, -1, -2)).all():
         raise ValueError("matrix is not symmetric")
-    values, vectors = jacobi_eigh(h)
-    return EigenSystem(values=values, vectors=_canonical_signs(vectors))
+    values, vectors = np.linalg.eigh(h)
+    scale = np.maximum(-values[..., :1], values[..., 3:])
+    close = values[..., 1:] - values[..., :-1] <= CLUSTER_RTOL * scale
+    degenerate = close.any(axis=-1)
+    _restore_doublet_parity(h, vectors, ~degenerate)
+    vectors = _canonical_signs(vectors)
+    if degenerate.any():
+        flat_values, flat_vectors = values.reshape(-1, 4), vectors.reshape(-1, 4, 4)
+        flat_close = close.reshape(-1, 3)
+        for i in np.flatnonzero(degenerate):
+            _pin_clusters(flat_values[i], flat_vectors[i], flat_close[i])
+    return EigenSystem(values=values, vectors=vectors)
 
 
-def zero_field_eigensystem(params):
-    """Closed-form zero-field eigensystem.
+def _restore_doublet_parity(h, vectors, nondegenerate):
+    """Make eigenvectors exactly even or odd under each doublet swap that h commutes with.
+
+    Swapping |1> and |1bar> is a symmetry of the pair Hamiltonian when
+    Bx = 0, swapping |2> and |2bar> when By = 0.  A nondegenerate
+    eigenvector is then even or odd under the swap, but LAPACK leaves an
+    admixture of the other parity of order eps |H| / gap, which shows as
+    a spurious moment (1e-7 mu_B along x for a field along y at
+    U/A ~ 1e4).  Only stack entries marked ``nondegenerate`` are
+    projected, in place, and renormalized.
+    """
+    swapped = h[..., _DOUBLET_SWAPS[:, :, None], _DOUBLET_SWAPS[:, None, :]]
+    fix = (swapped == h[..., None, :, :]).all(axis=(-2, -1)) & nondegenerate[..., None]
+    if not fix.any():
+        return
+    first, second = vectors[..., 0::2, :], vectors[..., 1::2, :]
+    total, difference = first + second, first - second
+    even = np.abs(total) >= np.abs(difference)
+    half = np.where(even, total, difference) / 2.0
+    fix = fix[..., None]
+    vectors[..., 1::2, :] = np.where(fix, np.where(even, half, -half), second)
+    vectors[..., 0::2, :] = np.where(fix, half, first)
+    vectors /= np.linalg.norm(vectors, axis=-2, keepdims=True)
+
+
+def _pin_clusters(values, vectors, close):
+    """Fix, in place, the basis of each exactly degenerate cluster.
+
+    ``close[j]`` marks eigenpairs j and j+1 as one cluster.  The basis is
+    Gram-Schmidt of the projections of |1>, |1bar>, |2>, |2bar>, in that
+    order, onto the cluster's subspace, skipping projections that add no
+    new direction.  Each vector keeps the sign Gram-Schmidt gives it, a
+    positive amplitude on the basis state it was projected from: the
+    largest-magnitude rule would let rounding choose the sign where two
+    amplitudes are equal by symmetry, as in (|2> - |2bar>)/sqrt(2).
+    LAPACK's sort leaves equal eigenvalues in any order, so -0.0 and 0.0
+    are put in a fixed order too (negative zero first).
+    """
+    edges = [0, *(j + 1 for j in range(3) if not close[j]), 4]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi - lo < 2:
+            continue
+        cluster = values[lo:hi]
+        values[lo:hi] = cluster[np.lexsort((~np.signbit(cluster), cluster))]
+        block = vectors[:, lo:hi]
+        basis = []
+        for column in block @ block.T:          # P|1>, P|1bar>, ... (P is symmetric)
+            for b in basis:
+                column = column - b * (b @ column)
+            norm = np.linalg.norm(column)
+            if norm > PIN_MIN_NORM:
+                basis.append(column / norm)
+            if len(basis) == hi - lo:
+                break
+        vectors[:, lo:hi] = np.column_stack(basis)
+
+
+def zero_field_values(u, a):
+    """Closed-form zero-field eigenvalues for broadcastable ``u`` and ``a``.
 
     The antisymmetric combinations (|1> - |1bar>)/sqrt(2) and
     (|2> - |2bar>)/sqrt(2) are exact eigenstates at 0 and U.  The
     symmetric combinations mix through the 2x2 block
     [[0, -2A], [-2A, U]], giving the pair (U -+ sqrt(U^2 + 16A^2))/2
-    that brackets the spectrum.  Output is sorted ascending with the
-    same sign convention as :func:`eigensystem`.
+    that brackets the spectrum.  Returns shape ``(..., 4)``, ascending.
+    """
+    u, a = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(a, dtype=float))
+    s = np.hypot(u, 4.0 * a)
+    negative = u < 0
+    return np.stack(
+        [(u - s) / 2.0, np.where(negative, u, 0.0), np.where(negative, 0.0, u), (u + s) / 2.0],
+        axis=-1,
+    )
+
+
+def zero_field_eigensystem(params):
+    """Closed-form zero-field eigensystem.
+
+    Eigenvalues come from :func:`zero_field_values`; the eigenvectors are
+    the antisymmetric doublet combinations and the two eigenvectors of
+    the symmetric block.  Output is sorted ascending with the same sign
+    convention as :func:`eigensystem`.
     """
     u, a = params.u, params.a
+    values = zero_field_values(u, a)
     if a == 0.0:
-        values = np.array([0.0, 0.0, u, u])
-        vectors = np.eye(4)
+        # diagonal H = (0, 0, U, U): the basis states, lower doublet first
+        vectors = np.eye(4) if u >= 0 else np.eye(4)[:, [2, 3, 0, 1]]
     else:
-        s = np.hypot(u, 4.0 * a)
-        lam_lo = (u - s) / 2.0
-        lam_hi = (u + s) / 2.0
+        lam_lo = values[0]
         r = np.hypot(2.0 * a, lam_lo)
         alpha, beta = 2.0 * a / r, -lam_lo / r        # symmetric-block ground state
         q = 1.0 / np.sqrt(2.0)
-        values = np.array([lam_lo, 0.0, u, lam_hi])
-        vectors = np.array(
-            [
-                [alpha * q, -q, 0.0, lam_lo * q / r],
-                [alpha * q, q, 0.0, lam_lo * q / r],
-                [beta * q, 0.0, -q, 2.0 * a * q / r],
-                [beta * q, 0.0, q, 2.0 * a * q / r],
-            ]
-        )
-    order = np.argsort(values, kind="stable")
-    return EigenSystem(values=values[order], vectors=_canonical_signs(vectors[:, order]))
+        ground = [alpha * q, alpha * q, beta * q, beta * q]
+        x_pair = [-q, q, 0.0, 0.0]                    # eigenvalue 0
+        y_pair = [0.0, 0.0, -q, q]                    # eigenvalue U
+        top = [lam_lo * q / r, lam_lo * q / r, 2.0 * a * q / r, 2.0 * a * q / r]
+        middle = [x_pair, y_pair] if u >= 0 else [y_pair, x_pair]
+        vectors = np.column_stack([ground, *middle, top])
+    return EigenSystem(values=values, vectors=_canonical_signs(vectors))
 
 
 def basis_state(label):
@@ -226,38 +342,50 @@ def basis_state(label):
 
 def _check_normalized(state):
     state = np.asarray(state, dtype=complex)
-    if state.shape != (4,):
+    if state.ndim == 0 or state.shape[-1] != 4:
         raise ValueError(f"state must have 4 amplitudes, got shape {state.shape}")
-    norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > NORM_TOL:
-        raise ValueError(f"state is not normalized (|norm - 1| = {abs(norm - 1.0):.3e})")
+    error = np.max(np.abs(np.linalg.norm(state, axis=-1) - 1.0))
+    if error > NORM_TOL:
+        raise ValueError(f"state is not normalized (|norm - 1| = {error:.3e})")
     return state
 
 
 def moment_expectation(state, params):
-    """Magnetic moment <psi|M|psi> of a normalized state, in Bohr magnetons.
+    """Magnetic moment <psi|M|psi> of normalized states, in Bohr magnetons.
 
     The moment operator is diagonal in the pseudospin basis with entries
     (+2*mu_x, -2*mu_x) along x and (+2*mu_y, -2*mu_y) along y, so only
-    population differences within each doublet contribute.
+    population differences within each doublet contribute.  A single
+    state of shape ``(4,)`` gives a :class:`Moment` of floats; states of
+    shape ``(..., 4)`` give a :class:`Moment` of arrays of shape ``(...)``.
     """
     state = _check_normalized(state)
     pop = np.abs(state) ** 2
-    mx = 2.0 * params.mu_x * (pop[0] - pop[1])
-    my = 2.0 * params.mu_y * (pop[2] - pop[3])
-    return Moment(mx=float(mx), my=float(my), mz=0.0)
+    mx = 2.0 * params.mu_x * (pop[..., 0] - pop[..., 1])
+    my = 2.0 * params.mu_y * (pop[..., 2] - pop[..., 3])
+    if state.ndim == 1:
+        return Moment(mx=float(mx), my=float(my), mz=0.0)
+    return Moment(mx=mx, my=my, mz=np.zeros_like(mx))
 
 
 def evolve(initial, h, t_ns):
     """Propagate a state coherently for ``t_ns`` nanoseconds under ``h``.
 
-    Expands the state in the eigenbasis and applies the phase factors
-    exp(-i * 2*pi * (k_B/h) * lambda_i * t); a splitting of 1 K
-    oscillates at 20.836619 GHz.  The norm is preserved and the map is
-    reversible (t -> -t).
+    Diagonalizes ``h`` once, expands the state in the eigenbasis and
+    applies the phase factors exp(-i * 2*pi * (k_B/h) * lambda_i * t); a
+    splitting of 1 K oscillates at 20.836619 GHz.  ``t_ns`` is a scalar,
+    giving a state of shape ``(4,)``, or an array of times, giving one
+    state per time (shape ``(..., 4)``).  The norm is preserved and the
+    map is reversible (t -> -t).
     """
     initial = _check_normalized(initial)
+    if initial.shape != (4,) or np.shape(h) != (4, 4):
+        raise ValueError(
+            f"evolve takes one state (4,) and one 4x4 Hamiltonian, "
+            f"got shapes {initial.shape} and {np.shape(h)}"
+        )
     es = eigensystem(h)
     overlaps = es.vectors.T @ initial
-    phases = np.exp(-2j * np.pi * K_B_OVER_H_GHZ * es.values * t_ns)
-    return es.vectors @ (overlaps * phases)
+    t = np.asarray(t_ns, dtype=float)[..., None]
+    phases = np.exp(-2j * np.pi * K_B_OVER_H_GHZ * es.values * t)
+    return (overlaps * phases) @ es.vectors.T

@@ -123,6 +123,15 @@ def test_extract_full_report(capsys):
     )
 
 
+def test_extract_negative_u_gives_no_exact_value(capsys):
+    report = json.loads(run_ok(capsys, ["extract", "--delta", "0.3", "--u", "-5"]))
+    assert report["tunneling_exact_K"] is None
+    assert report["tunneling_paper_K"] == 0.075
+    with pytest.raises(SystemExit):
+        main(["extract", "--help"])
+    assert "null" in capsys.readouterr().out
+
+
 def test_extract_requires_some_input(capsys):
     run_usage_error(capsys, ["extract", "--mode", "paper"])
     run_usage_error(capsys, ["extract", "--delta", "0.3", "--mode", "exact"])
@@ -172,6 +181,18 @@ def test_fit_degenerate_is_domain_error(capsys, tmp_path):
     assert len(diagnostic["parameter_pair"]) == 2
 
 
+@pytest.mark.parametrize("points", ["-5", "0", "1"])
+def test_fit_rejects_grid_points_below_two(capsys, tmp_path, points):
+    data = tmp_path / "data.csv"
+    curve = tmp_path / "curve.csv"
+    run_ok(capsys, ["synth", "--process", "2.1e-3", "16.1", "--t-min", "0.4",
+                    "--t-max", "30", "--points", "12", "--output", str(data)])
+    err = run_usage_error(capsys, ["fit", "--input", str(data), "--processes", "1",
+                                   "--grid-points", points, "--curve-output", str(curve)])
+    assert "--grid-points" in err
+    assert not curve.exists()
+
+
 def test_fit_missing_input_is_usage_error(capsys, tmp_path):
     run_usage_error(capsys, ["fit", "--input", str(tmp_path / "nope.csv"), "--processes", "2"])
 
@@ -214,6 +235,11 @@ def test_evolve_trace(capsys):
         "synth --process 1 1 --t-min 1 --t-max inf --points 3",
         "evolve --u 10 --a 1 --mu-y 10 --t-max inf --points 3",
         "evolve --u 10 --a 1 --mu-y 10 --t-max nan --points 3",
+        "eigen --u 10 --a 1 --mu-y 10 --by 1e308",
+        "evolve --u 10 --a 1 --mu-y 10 --bx 1e308 --t-max 1 --points 3",
+        "extract --delta 0.3 --u nan",
+        "extract --delta 0.3 --u=-inf",
+        "extract --delta 0.3 --u nan --mode paper",
     ],
 )
 def test_library_rejections_are_usage_errors(capsys, argv):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qtmpair.constants import K_B_OVER_H_GHZ, MU_B_OVER_K_B
+from qtmpair.jacobi import jacobi_eigh
 from qtmpair.model import (
     FieldVector,
     ModelParams,
@@ -11,6 +12,7 @@ from qtmpair.model import (
     build_hamiltonian,
     eigensystem,
     evolve,
+    hamiltonian_stack,
     moment_expectation,
     zero_field_eigensystem,
 )
@@ -125,6 +127,38 @@ def test_diagonal_hamiltonian_projectors():
     np.testing.assert_allclose(projector(es, [2, 3]), np.diag([0.0, 0.0, 1.0, 1.0]), atol=1e-12)
 
 
+def test_stack_matches_single_field_hamiltonian():
+    rng = np.random.default_rng(8)
+    bx, by = rng.uniform(-2.0, 2.0, (2, 3, 5))
+    stack = hamiltonian_stack(P10, bx, by)
+    assert stack.shape == (3, 5, 4, 4)
+    for i in np.ndindex(3, 5):
+        np.testing.assert_array_equal(
+            stack[i], build_hamiltonian(P10, FieldVector(bx=bx[i], by=by[i]))
+        )
+    # a scalar component broadcasts against an array
+    along_y = hamiltonian_stack(P10, 0.0, by)
+    assert along_y.shape == (3, 5, 4, 4)
+    np.testing.assert_array_equal(along_y[1, 2], build_hamiltonian(P10, FieldVector(by=by[1, 2])))
+    np.testing.assert_array_equal(hamiltonian_stack(P10), build_hamiltonian(P10))
+
+
+def test_zeeman_overflow_is_rejected_with_the_field():
+    with pytest.raises(ValueError, match="by=1e"):
+        build_hamiltonian(P10, FieldVector(by=1e308))
+    with pytest.raises(ValueError, match="bx=1e"):
+        hamiltonian_stack(P10, np.array([0.0, 1e308]), 0.0)
+
+
+def test_rejects_nonfinite_matrix():
+    h = build_hamiltonian(P10)
+    h[2, 3] = h[3, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        eigensystem(h)
+    with pytest.raises(ValueError, match="non-finite"):
+        eigensystem(np.stack([build_hamiltonian(P10), np.full((4, 4), np.inf)]))
+
+
 def test_rejects_asymmetric_matrix():
     h = build_hamiltonian(P10)
     h[0, 1] = 0.5
@@ -137,6 +171,102 @@ def test_canonical_sign_convention():
     for j in range(4):
         k = np.argmax(np.abs(es.vectors[:, j]))
         assert es.vectors[k, j] > 0
+
+
+def test_lapack_matches_jacobi_oracle_on_random_fields():
+    """eigensystem (one batched LAPACK call) against the independent Jacobi
+    solver on 500 random (U, A, mu_x, mu_y, Bx, By): eigenvalues to
+    1e-12 max(1, |H|), spectral projectors of each resolved cluster to 1e-9."""
+    rng = np.random.default_rng(2026)
+    hamiltonians = []
+    for _ in range(500):
+        params = ModelParams(
+            u=rng.uniform(-50.0, 50.0), a=math.exp(rng.uniform(math.log(1e-3), math.log(10.0))),
+            mu_x=rng.uniform(1.0, 20.0), mu_y=rng.uniform(1.0, 20.0),
+        )
+        field = FieldVector(bx=rng.uniform(-2.0, 2.0), by=rng.uniform(-2.0, 2.0))
+        hamiltonians.append(build_hamiltonian(params, field))
+    batch = eigensystem(np.stack(hamiltonians))
+    for h, values, vectors in zip(hamiltonians, batch.values, batch.vectors):
+        ref_values, ref_vectors = jacobi_eigh(h)
+        scale = max(1.0, np.abs(ref_values).max())
+        np.testing.assert_allclose(values, ref_values, rtol=0.0, atol=1e-12 * scale)
+        # levels closer than 1e-6 |H| are grouped: their individual vectors
+        # are determined only to eps |H| / gap
+        for cluster in cluster_indices(ref_values, gap=1e-6 * scale):
+            np.testing.assert_allclose(
+                vectors[:, cluster] @ vectors[:, cluster].T,
+                ref_vectors[:, cluster] @ ref_vectors[:, cluster].T,
+                rtol=0.0, atol=1e-9,
+            )
+
+
+def test_batched_calls_equal_per_item_calls():
+    rng = np.random.default_rng(12)
+    params = ModelParams(u=-7.0, a=0.3, mu_x=4.0, mu_y=9.0)
+    stack = hamiltonian_stack(params, rng.uniform(-1.0, 1.0, 40), rng.uniform(-1.0, 1.0, 40))
+    batch = eigensystem(stack)
+    assert batch.values.shape == (40, 4) and batch.vectors.shape == (40, 4, 4)
+    for h, values, vectors in zip(stack, batch.values, batch.vectors):
+        single = eigensystem(h)
+        np.testing.assert_array_equal(values, single.values)
+        np.testing.assert_array_equal(vectors, single.vectors)
+
+    times = np.linspace(-3.0, 5.0, 60)
+    states = evolve(basis_state("2"), stack[0], times)
+    assert states.shape == (60, 4)
+    for t, state in zip(times, states):
+        # the stacked product may sum in another order: 4 terms of modulus <= 1
+        np.testing.assert_allclose(
+            state, evolve(basis_state("2"), stack[0], t), rtol=0.0, atol=1e-14
+        )
+
+    moments = moment_expectation(states, params)
+    assert moments.mx.shape == moments.my.shape == moments.mz.shape == (60,)
+    for i, state in enumerate(states):
+        single = moment_expectation(state, params)
+        assert isinstance(single.mx, float)
+        assert (moments.mx[i], moments.my[i], moments.mz[i]) == single
+
+
+def test_pinned_basis_in_exact_degeneracies():
+    # a = 0: H is diagonal and the doublets are exactly degenerate
+    es = eigensystem(build_hamiltonian(ModelParams(u=10.0, a=0.0, mu_x=3.0, mu_y=5.0)))
+    np.testing.assert_array_equal(es.vectors, np.eye(4))
+    np.testing.assert_array_equal(es.values, [0.0, 0.0, 10.0, 10.0])
+    # beyond the crossing the doublet (-0.0, 0.0) keeps its basis order
+    no_tunneling = ModelParams(u=10.0, a=0.0, mu_x=10.0, mu_y=10.0)
+    es = eigensystem(build_hamiltonian(no_tunneling, FieldVector(by=2.0 * B_ZT)))
+    np.testing.assert_array_equal(np.signbit(es.values), [True, True, False, False])
+    np.testing.assert_array_equal(es.vectors, np.eye(4)[:, [2, 0, 1, 3]])
+    # three-fold crossing and a zero matrix: still the basis states, in order
+    np.testing.assert_array_equal(
+        eigensystem(np.diag([1.0, 0.0, 0.0, 0.0])).vectors, np.eye(4)[:, [1, 2, 3, 0]]
+    )
+    np.testing.assert_array_equal(eigensystem(np.zeros((4, 4))).vectors, np.eye(4))
+    # U = 0 at zero field: the antisymmetric doublet combinations share 0
+    for a in (1e-3, 0.085, 1.0, 37.0):
+        params = ModelParams(u=0.0, a=a, mu_x=10.0, mu_y=10.0)
+        batch = eigensystem(np.stack([build_hamiltonian(params)] * 2))
+        for vectors in batch.vectors:
+            np.testing.assert_allclose(
+                vectors, zero_field_eigensystem(params).vectors, rtol=0.0, atol=1e-12
+            )
+
+
+def test_axis_fields_keep_doublet_parity_exact():
+    """For a field along y every eigenvector has equal |1> and |1bar>
+    populations (along x: |2> and |2bar>), so its moment across the field
+    is exactly 0, also deep in the protected regime where the gap is
+    1e-8 of |H| and LAPACK alone leaves 1e-7 mu_B."""
+    params = ModelParams(u=1000.0, a=0.085, mu_x=5.0, mu_y=5.0)
+    b_zt = 1000.0 / (2.0 * 5.0 * MU_B_OVER_K_B)
+    fields = np.linspace(0.0, 2.0 * b_zt, 101)
+    along_y = eigensystem(hamiltonian_stack(params, by=fields))
+    along_x = eigensystem(hamiltonian_stack(params, bx=fields))
+    # moments of all four eigenvectors: states along the last axis
+    assert np.all(moment_expectation(np.swapaxes(along_y.vectors, -1, -2), params).mx == 0.0)
+    assert np.all(moment_expectation(np.swapaxes(along_x.vectors, -1, -2), params).my == 0.0)
 
 
 # ----------------------------------------------------------- closed form
@@ -302,6 +432,6 @@ def test_tunneling_beat_against_spectral_sum():
             for i in range(4)
         )
     ) ** 2
-    simulated = np.array([abs(evolve(basis_state("1"), h, t)[1]) ** 2 for t in times])
+    simulated = np.abs(evolve(basis_state("1"), h, times)[:, 1]) ** 2
     np.testing.assert_allclose(simulated, oracle, atol=1e-10)
     assert simulated.max() >= 0.93
