@@ -8,14 +8,13 @@ compensates U).  The scalar helpers convert between the ground-state gap,
 the tunneling element and the oscillation frequency.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import K_B_OVER_H_GHZ, MU_B_OVER_K_B
 from .model import eigensystem, hamiltonian_stack, moment_expectation, zero_field_values
-from .serialize import fmt
+from .serialize import csv_text, json_text
 
 
 @dataclass(frozen=True)
@@ -34,30 +33,23 @@ class SweepTable:
     eigenvalues: np.ndarray
     ground_moments: np.ndarray | None = None
 
+    def _table(self):
+        """Ordered mapping of column name to column, as written to CSV and JSON."""
+        table = {"axis": self.axis_values}
+        table.update(zip(("lambda1", "lambda2", "lambda3", "lambda4"), self.eigenvalues.T))
+        if self.ground_moments is not None:
+            table.update(zip(("mx", "my"), self.ground_moments.T))
+        return table
+
     def columns(self):
         """Column names, matching the CSV header."""
-        names = ["axis", "lambda1", "lambda2", "lambda3", "lambda4"]
-        if self.ground_moments is not None:
-            names += ["mx", "my"]
-        return names
+        return list(self._table())
 
     def to_csv(self):
-        lines = [",".join(self.columns())]
-        for i, x in enumerate(self.axis_values):
-            cells = [fmt(x)] + [fmt(v) for v in self.eigenvalues[i]]
-            if self.ground_moments is not None:
-                cells += [fmt(v) for v in self.ground_moments[i]]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        return csv_text(self._table())
 
     def to_json(self):
-        data = {"axis_name": self.axis_name, "axis": self.axis_values.tolist()}
-        for j, name in enumerate(["lambda1", "lambda2", "lambda3", "lambda4"]):
-            data[name] = self.eigenvalues[:, j].tolist()
-        if self.ground_moments is not None:
-            data["mx"] = self.ground_moments[:, 0].tolist()
-            data["my"] = self.ground_moments[:, 1].tolist()
-        return json.dumps(data, indent=2) + "\n"
+        return json_text({"axis_name": self.axis_name, **self._table()})
 
 
 def sweep_ratio(ratio_min, ratio_max, n_points):

@@ -10,7 +10,7 @@ shortest round-trip decimals.
 """
 
 import argparse
-import json
+import re
 import sys
 
 import numpy as np
@@ -44,10 +44,11 @@ from .relaxation import (
     model_lifetime,
     synthesize,
 )
-from .serialize import fmt
+from .serialize import csv_text, json_text
 
 EXIT_OK = 0
 EXIT_DOMAIN = 3   # argparse itself exits 2 on argument errors
+_NEGATIVE_FLOAT = re.compile(r"-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)\Z", re.I)
 
 
 class DomainError(RuntimeError):
@@ -59,9 +60,7 @@ class DomainError(RuntimeError):
         self.detail = detail
 
     def to_json(self):
-        payload = {"error": self.kind, "message": str(self)}
-        payload.update(self.detail)
-        return json.dumps(payload, indent=2) + "\n"
+        return json_text({"error": self.kind, "message": str(self), **self.detail})
 
 
 def _add_model_flags(sub):
@@ -242,9 +241,11 @@ def build_parser():
     _add_output_flag(sub)
     sub.set_defaults(handler=_cmd_evolve)
 
-    # each subcommand reports usage errors against its own parser
+    # each subcommand reports usage errors against its own parser, and reads
+    # -1.5e1 or -inf as a value: argparse's own rule takes only -1 and -1.5
     for sub_parser in commands.choices.values():
         sub_parser.set_defaults(_parser=sub_parser)
+        sub_parser._negative_number_matcher = _NEGATIVE_FLOAT
     return parser
 
 
@@ -262,16 +263,15 @@ def _cmd_spectrum_field(args):
 
 def _cmd_eigen(args):
     es = eigensystem(build_hamiltonian(_model_params(args), _field(args)))
-    payload = {
-        "values_K": es.values.tolist(),
-        "vectors": [es.vectors[:, j].tolist() for j in range(4)],
+    return json_text({
+        "values_K": es.values,
+        "vectors": es.vectors.T,
         "basis": list(BASIS_LABELS),
         "convention": (
             "vectors[i] is the eigenvector of values_K[i] (ascending), amplitudes "
             "ordered as 'basis'; the largest-magnitude amplitude is made positive"
         ),
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    })
 
 
 def _cmd_extract(args):
@@ -290,23 +290,22 @@ def _cmd_extract(args):
     if args.mode == "exact" and args.u is None:
         raise ValueError("--mode exact requires --u >= 0")
 
-    report = {"splitting_K": delta}
-    report["tunneling_paper_K"] = (
-        tunneling_from_splitting(delta, mode="paper") if args.mode in ("paper", "both") else None
-    )
-    if args.mode == "exact" or (args.mode == "both" and args.u is not None and args.u >= 0):
-        report["tunneling_exact_K"] = tunneling_from_splitting(delta, u=args.u, mode="exact")
-    else:
-        report["tunneling_exact_K"] = None
-    report["frequency_GHz"] = kelvin_to_gigahertz(delta)
-    if args.u is not None and args.mu_y is not None:
-        report["zeeman_threshold_T"] = zeeman_threshold(
-            ModelParams(u=args.u, a=0.0, mu_x=1.0, mu_y=args.mu_y)
-        )
-    else:
-        report["zeeman_threshold_T"] = None
-    report["notes"] = list(EXTRACTION_NOTES)
-    return json.dumps(report, indent=2) + "\n"
+    paper = args.mode in ("paper", "both")
+    exact = args.mode == "exact" or (args.mode == "both" and args.u is not None and args.u >= 0)
+    threshold = args.u is not None and args.mu_y is not None
+    return json_text({
+        "splitting_K": delta,
+        "tunneling_paper_K": tunneling_from_splitting(delta, mode="paper") if paper else None,
+        "tunneling_exact_K": (
+            tunneling_from_splitting(delta, u=args.u, mode="exact") if exact else None
+        ),
+        "frequency_GHz": kelvin_to_gigahertz(delta),
+        "zeeman_threshold_T": (
+            zeeman_threshold(ModelParams(u=args.u, a=0.0, mu_x=1.0, mu_y=args.mu_y))
+            if threshold else None
+        ),
+        "notes": list(EXTRACTION_NOTES),
+    })
 
 
 def _cmd_fit(args):
@@ -339,9 +338,8 @@ def _cmd_fit(args):
         temps = data.temperatures()
         grid = np.geomspace(temps.min(), temps.max(), args.grid_points)
         sample = np.unique(np.concatenate([temps, grid]))
-        taus = model_lifetime(result.model, sample)
-        lines = ["T_K,tau_s"] + [f"{fmt(t)},{fmt(tau)}" for t, tau in zip(sample, taus)]
-        _write_text(args.curve_output, "\n".join(lines) + "\n")
+        curve = {"T_K": sample, "tau_s": model_lifetime(result.model, sample)}
+        _write_text(args.curve_output, csv_text(curve))
     return result.to_json()
 
 
@@ -363,12 +361,9 @@ def _cmd_evolve(args):
     params = _model_params(args)
     times = np.linspace(0.0, args.t_max, args.points)
     states = evolve(basis_state(args.initial), build_hamiltonian(params, _field(args)), times)
-    populations = np.abs(states) ** 2
     moments = moment_expectation(states, params)
-    lines = ["t_ns,p1,p1bar,p2,p2bar,mx,my"]
-    for t, pop, mx, my in zip(times, populations, moments.mx, moments.my):
-        lines.append(",".join([fmt(t), *(fmt(p) for p in pop), fmt(mx), fmt(my)]))
-    return "\n".join(lines) + "\n"
+    populations = zip((f"p{label}" for label in BASIS_LABELS), (np.abs(states) ** 2).T)
+    return csv_text({"t_ns": times, **dict(populations), "mx": moments.mx, "my": moments.my})
 
 
 # -------------------------------------------------------------------- main

@@ -108,7 +108,10 @@ class EigenSystem:
     ``values`` (shape ``(..., 4)``) are the eigenvalues in kelvin,
     ascending.  ``vectors`` (shape ``(..., 4, 4)``) holds the orthonormal
     eigenvectors as columns aligned with ``values``.  In each column the
-    amplitude of largest magnitude is made positive.  Within an exactly
+    amplitude of largest magnitude is made positive, the first one where
+    several tie.  Ties come from symmetry, as +-1/sqrt(2) in
+    (|1> - |1bar>)/sqrt(2), and are exact: the doublet-parity step writes
+    both amplitudes as +- the same number.  Within an exactly
     degenerate cluster the basis is pinned instead: Gram-Schmidt of the
     projections of |1>, |1bar>, |2>, |2bar>, in that order, onto the
     cluster's subspace, each vector with a positive amplitude on the basis
@@ -185,10 +188,6 @@ def build_hamiltonian(params, field=ZERO_FIELD):
     (4, 4) ndarray
         Real symmetric matrix in kelvin.
     """
-    if field is None:
-        field = ZERO_FIELD
-    elif not isinstance(field, FieldVector):
-        field = FieldVector(*(float(v) for v in np.atleast_1d(field)))
     if field.bz != 0.0:
         warnings.warn(
             "field component bz has no effect: the pair moments lie in the x-y plane",

@@ -14,12 +14,11 @@ measurements, with a damped Gauss-Newton iteration.
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .serialize import fmt
+from .serialize import csv_text, fmt, json_text
 
 MAX_PROCESSES = 4
 MAX_ITERATIONS = 500
@@ -121,22 +120,14 @@ class RelaxationDataset:
 
     def to_csv(self):
         """Dataset as CSV text; sigma/mode columns appear only when used."""
-        with_sigma = any(p.sigma_ln_tau is not None for p in self.points)
-        with_mode = any(p.mode for p in self.points)
-        header = ["T_K", "tau_s"]
-        if with_sigma:
-            header.append("sigma_ln_tau")
-        if with_mode:
-            header.append("mode")
-        lines = [",".join(header)]
-        for p in self.points:
-            cells = [fmt(p.t_kelvin), fmt(p.tau_s)]
-            if with_sigma:
-                cells.append("" if p.sigma_ln_tau is None else fmt(p.sigma_ln_tau))
-            if with_mode:
-                cells.append(p.mode)
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        columns = {"T_K": self.temperatures(), "tau_s": self.lifetimes()}
+        if any(p.sigma_ln_tau is not None for p in self.points):
+            columns["sigma_ln_tau"] = [
+                "" if p.sigma_ln_tau is None else fmt(p.sigma_ln_tau) for p in self.points
+            ]
+        if any(p.mode for p in self.points):
+            columns["mode"] = [p.mode for p in self.points]
+        return csv_text(columns)
 
 
 def parse_dataset_csv(text, source=""):
@@ -164,16 +155,20 @@ def parse_dataset_csv(text, source=""):
         record = dict(zip(header, (cell.strip() for cell in row)))
         if "T_K" not in record or "tau_s" not in record:
             raise ValueError(f"line {number}: missing T_K/tau_s cells")
-        sigma = record.get("sigma_ln_tau", "")
-        points.append(
-            LifetimePoint(
-                t_kelvin=float(record["T_K"]),
-                tau_s=float(record["tau_s"]),
-                sigma_ln_tau=float(sigma) if sigma else None,
-                mode=record.get("mode", ""),
-            )
-        )
+        t_kelvin, tau_s = _cell_value(record, "T_K", number), _cell_value(record, "tau_s", number)
+        sigma = _cell_value(record, "sigma_ln_tau", number) if record.get("sigma_ln_tau") else None
+        try:
+            points.append(LifetimePoint(t_kelvin, tau_s, sigma, record.get("mode", "")))
+        except ValueError as err:
+            raise ValueError(f"line {number}: {err}") from None
     return RelaxationDataset(points=tuple(points), source=source)
+
+
+def _cell_value(record, column, number):
+    try:
+        return float(record[column])
+    except ValueError as err:
+        raise ValueError(f"line {number}, column {column}: {err}") from None
 
 
 def load_dataset(path):
@@ -201,22 +196,18 @@ class FitResult:
     iterations: int
     objective_trace: tuple = field(default=(), repr=False)
 
-    def parameter_names(self):
-        return _parameter_names(len(self.model.processes))
-
     def to_json(self):
-        data = {
+        return json_text({
             "model": {
                 "processes": [
                     {"tau0_s": p.tau0, "delta_K": p.delta} for p in self.model.processes
                 ]
             },
-            "std_errors": self.std_errors.tolist(),
-            "covariance": self.covariance.tolist(),
+            "std_errors": self.std_errors,
+            "covariance": self.covariance,
             "residual_rms": self.residual_rms,
             "converged": self.converged,
-        }
-        return json.dumps(data, indent=2) + "\n"
+        })
 
 
 # ------------------------------------------------------------------ model

@@ -240,11 +240,27 @@ def test_evolve_trace(capsys):
         "extract --delta 0.3 --u nan",
         "extract --delta 0.3 --u=-inf",
         "extract --delta 0.3 --u nan --mode paper",
+        "evolve --u 10 --a 1 --mu-y 10 --t-max 1 --points 1",
     ],
 )
 def test_library_rejections_are_usage_errors(capsys, argv):
     # values the library rejects, non-finite ones included, exit 2 with usage
     assert "usage" in run_usage_error(capsys, argv.split())
+
+
+def test_negative_float_literals_are_values(capsys):
+    # argparse alone reads -1.5e1, -1e3, -inf and -nan as unknown options
+    spaced = run_ok(capsys, ["eigen", "--u", "-1.5e1", "--a", "1", "--mu-y", "10"])
+    assert spaced == run_ok(capsys, ["eigen", "--u=-1.5e1", "--a", "1", "--mu-y", "10"])
+    out = run_ok(capsys, ["spectrum-ua", "--min", "-1e3", "--max", "5", "--points", "3"])
+    assert out.split("\n")[1].startswith("-1000.0,")
+    err = run_usage_error(capsys, ["eigen", "--u", "-inf", "--a", "1", "--mu-y", "10"])
+    assert "model parameter u must be finite, got -inf" in err
+    err = run_usage_error(capsys, ["eigen", "--u", "1", "--a", "1", "--mu-y", "-nan"])
+    assert "model parameter mu_y must be finite, got nan" in err
+    err = run_usage_error(capsys, ["synth", "--process", "1", "-1e3", "--t-min", "1",
+                                   "--t-max", "2", "--points", "3"])
+    assert "barrier delta must be >= 0 and finite, got -1000.0" in err
 
 
 # ----------------------------------------------------------- determinism

@@ -173,6 +173,34 @@ def test_canonical_sign_convention():
         assert es.vectors[k, j] > 0
 
 
+def test_sign_ties_are_exact_and_first_amplitude_positive():
+    """At zero field and for fields along x or y alone, amplitudes that tie
+    for the largest magnitude (within 1e-9, as +-1/sqrt(2) in
+    (|1> - |1bar>)/sqrt(2)) are exactly equal in magnitude, so no rounding
+    picks the sign: the first of them is positive."""
+    rng = np.random.default_rng(4321)
+    hamiltonians = []
+    for axis in (None, "bx", "by"):
+        for _ in range(2000):
+            params = ModelParams(
+                u=rng.uniform(-50.0, 50.0),
+                a=math.exp(rng.uniform(math.log(1e-3), math.log(10.0))),
+                mu_x=rng.uniform(1.0, 20.0), mu_y=rng.uniform(1.0, 20.0),
+            )
+            field = {} if axis is None else {axis: rng.uniform(-2.0, 2.0)}
+            hamiltonians.append(build_hamiltonian(params, FieldVector(**field)))
+    vectors = eigensystem(np.stack(hamiltonians)).vectors
+    columns = np.swapaxes(vectors, -1, -2).reshape(-1, 4)
+    magnitude = np.abs(columns)
+    largest = magnitude.max(axis=1, keepdims=True)
+    tied = magnitude >= largest - 1e-9
+    with_tie = tied.sum(axis=1) > 1
+    assert with_tie.sum() >= 6000                # every zero-field column ties
+    assert np.all(magnitude[tied] == np.broadcast_to(largest, tied.shape)[tied])
+    first = columns[np.arange(len(columns)), np.argmax(tied, axis=1)]
+    assert np.all(first[with_tie] > 0.0)
+
+
 def test_lapack_matches_jacobi_oracle_on_random_fields():
     """eigensystem (one batched LAPACK call) against the independent Jacobi
     solver on 500 random (U, A, mu_x, mu_y, Bx, By): eigenvalues to

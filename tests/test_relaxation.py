@@ -372,3 +372,9 @@ def test_dataset_csv_rejects_malformed_rows():
         parse_dataset_csv("T_K,tau_s\n1.0,2.0\n1.0,2.0,0.5\n")
     with pytest.raises(ValueError, match="line 2"):
         parse_dataset_csv("T_K,tau_s\n1.0\n")
+    with pytest.raises(ValueError, match="^line 3, column tau_s: .*'abc'"):
+        parse_dataset_csv("T_K,tau_s\n1.0,2.0\n2.0,abc\n")
+    with pytest.raises(ValueError, match="^line 4, column sigma_ln_tau: "):
+        parse_dataset_csv("T_K,tau_s,sigma_ln_tau\n1.0,2.0,\n2.0,3.0,0.1\n3.0,4.0,x\n")
+    with pytest.raises(ValueError, match="^line 3: temperature must be positive, got -3.0$"):
+        parse_dataset_csv("T_K,tau_s\n1.0,2.0\n-3.0,4.0\n")
