@@ -12,6 +12,7 @@ Units: energies as E/k_B in kelvin, fields in tesla, moments in Bohr
 magnetons, time in nanoseconds.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -64,8 +65,9 @@ class ModelParams:
     def __post_init__(self):
         for name in ("u", "a", "mu_y", "mu_x"):
             value = getattr(self, name)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"model parameter {name} must be finite, got {value}")
+            object.__setattr__(self, name, float(value))
         if self.a < 0:
             raise ValueError(f"tunneling element a must be >= 0, got {self.a}")
         for name in ("mu_y", "mu_x"):

@@ -14,6 +14,7 @@ measurements, with a damped Gauss-Newton iteration.
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,9 +50,9 @@ class ArrheniusProcess:
     delta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.tau0) and self.tau0 > 0):
+        if not (math.isfinite(self.tau0) and self.tau0 > 0):
             raise ValueError(f"prefactor tau0 must be positive and finite, got {self.tau0}")
-        if not (np.isfinite(self.delta) and self.delta >= 0):
+        if not (math.isfinite(self.delta) and self.delta >= 0):
             raise ValueError(f"barrier delta must be >= 0 and finite, got {self.delta}")
 
 
@@ -87,12 +88,12 @@ class LifetimePoint:
     mode: str = ""
 
     def __post_init__(self):
-        if not (np.isfinite(self.t_kelvin) and self.t_kelvin > 0):
+        if not (math.isfinite(self.t_kelvin) and self.t_kelvin > 0):
             raise ValueError(f"temperature must be positive, got {self.t_kelvin}")
-        if not (np.isfinite(self.tau_s) and self.tau_s > 0):
+        if not (math.isfinite(self.tau_s) and self.tau_s > 0):
             raise ValueError(f"lifetime must be positive, got {self.tau_s}")
         if self.sigma_ln_tau is not None and not (
-            np.isfinite(self.sigma_ln_tau) and self.sigma_ln_tau > 0
+            math.isfinite(self.sigma_ln_tau) and self.sigma_ln_tau > 0
         ):
             raise ValueError(f"sigma_ln_tau must be positive when given, got {self.sigma_ln_tau}")
 
@@ -148,11 +149,12 @@ def parse_dataset_csv(text, source=""):
         )
     points = []
     for number, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
+        cells = [cell.strip() for cell in row]
+        if not any(cells):
             continue
-        if len(row) > len(header):
-            raise ValueError(f"line {number}: {len(row)} cells for {len(header)} columns")
-        record = dict(zip(header, (cell.strip() for cell in row)))
+        if len(cells) > len(header):
+            raise ValueError(f"line {number}: {len(cells)} cells for {len(header)} columns")
+        record = dict(zip(header, cells))
         if "T_K" not in record or "tau_s" not in record:
             raise ValueError(f"line {number}: missing T_K/tau_s cells")
         t_kelvin, tau_s = _cell_value(record, "T_K", number), _cell_value(record, "tau_s", number)
@@ -230,13 +232,10 @@ def _evaluate(theta, t):
     points.  Rates that underflow to 0 or overflow give ln tau = +-inf and
     a NaN Jacobian silently; ``fit`` rejects such candidates by objective.
     """
-    n = len(theta) // 2
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        channel = np.stack(
-            [np.exp(-theta[2 * i] - theta[2 * i + 1] / t) for i in range(n)], axis=1
-        )
+        channel = np.exp(-theta[0::2] - theta[1::2] / t[:, None])
         rate = channel.sum(axis=1)
-        jac = np.empty((len(t), 2 * n))
+        jac = np.empty((len(t), len(theta)))
         jac[:, 0::2] = channel / rate[:, None]
         jac[:, 1::2] = channel / (rate * t)[:, None]
         return -np.log(rate), jac
@@ -245,13 +244,19 @@ def _evaluate(theta, t):
 def model_lifetime(model, t_kelvin):
     """Lifetime of the parallel-channel model at temperature(s) ``t_kelvin``.
 
-    Accepts a scalar or an array; temperatures must be positive.
+    Accepts a scalar or an array of any shape and returns the same shape;
+    temperatures must be positive.
     """
     t = np.asarray(t_kelvin, dtype=float)
-    if not np.all(np.isfinite(t)) or np.any(t <= 0.0):
-        raise ValueError(f"temperatures must be positive and finite, got {t_kelvin}")
-    tau = np.exp(_evaluate(_theta_of(model), np.atleast_1d(t))[0])
-    return float(tau[0]) if t.ndim == 0 else tau
+    grid = t.reshape(-1)
+    bad = np.flatnonzero(~(np.isfinite(grid) & (grid > 0.0)))
+    if bad.size:
+        index = bad[0] if t.ndim < 2 else tuple(int(k) for k in np.unravel_index(bad[0], t.shape))
+        raise ValueError(
+            f"temperatures must be positive and finite, got {grid[bad[0]]} at index {index}"
+        )
+    tau = np.exp(_evaluate(_theta_of(model), grid)[0])
+    return float(tau[0]) if t.ndim == 0 else tau.reshape(t.shape)
 
 
 def synthesize(model, temperatures, noise_sigma=0.0, seed=0):
@@ -261,15 +266,19 @@ def synthesize(model, temperatures, noise_sigma=0.0, seed=0):
     Gaussian of width ``noise_sigma`` by a seeded generator; the same seed
     always yields the same dataset.
     """
-    temps = np.asarray(temperatures, dtype=float)
+    temps = np.asarray(temperatures, dtype=float).ravel()
     if temps.size == 0:
         raise ValueError(f"temperatures must hold at least one value, got {temps.size}")
-    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     eps = np.random.default_rng(seed).standard_normal(temps.size) * noise_sigma
-    taus = model_lifetime(model, temps) * np.exp(eps)
+    with np.errstate(over="ignore"):
+        taus = model_lifetime(model, temps) * np.exp(eps)
+    if np.isinf(taus).any():
+        first = temps[np.isinf(taus)][0]
+        raise ValueError(f"lifetime exceeds float64 (ln tau > 709.78) at T = {first} K")
     points = tuple(
-        LifetimePoint(t_kelvin=float(t), tau_s=float(tau)) for t, tau in zip(temps, taus)
+        LifetimePoint(t_kelvin=t, tau_s=tau) for t, tau in zip(temps.tolist(), taus.tolist())
     )
     return RelaxationDataset(
         points=points, source=f"synthetic(seed={seed}, noise_sigma={noise_sigma})"

@@ -263,6 +263,12 @@ def test_negative_float_literals_are_values(capsys):
     assert "barrier delta must be >= 0 and finite, got -1000.0" in err
 
 
+def test_synth_names_the_temperature_where_the_lifetime_overflows(capsys):
+    err = run_usage_error(capsys, ["synth", "--process", "1e-10", "2200", "--t-min", "2",
+                                   "--t-max", "100", "--points", "5"])
+    assert "lifetime exceeds float64 (ln tau > 709.78) at T = 2.0 K" in err
+
+
 # ----------------------------------------------------------- determinism
 
 def test_outputs_are_byte_identical_across_runs(capsys, tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qtmpair.analysis import ground_splitting, sweep_field
 from qtmpair.constants import K_B_OVER_H_GHZ, MU_B_OVER_K_B
 from qtmpair.jacobi import jacobi_eigh
 from qtmpair.model import (
@@ -100,6 +101,30 @@ def test_rejects_nonfinite_inputs():
         ModelParams(u=10.0, a=1.0, mu_x=10.0, mu_y=0.0)
     with pytest.raises(ValueError):
         FieldVector(by=np.inf)
+
+
+def test_integer_parameters_equal_float_parameters():
+    """Integer fields are coerced to float: every public function gives the
+    arrays that the same float parameters give, bit for bit."""
+    ints, floats = ModelParams(10, 1, 10, 10), ModelParams(10.0, 1.0, 10.0, 10.0)
+    assert all(type(getattr(ints, name)) is float for name in ("u", "a", "mu_x", "mu_y"))
+    by, times = np.array([0.0, 0.5, B_ZT]), np.linspace(0.0, 2.0, 7)
+    state = evolve(basis_state("1"), hamiltonian_stack(floats, by=0.5), times)
+
+    def outputs(params):
+        h = hamiltonian_stack(params, by=by)
+        es, zero, table = eigensystem(h), zero_field_eigensystem(params), sweep_field(params, 2.0, 9)
+        return (
+            h, es.values, es.vectors, evolve(basis_state("2"), h[1], times),
+            *moment_expectation(state, params), zero.values, zero.vectors,
+            table.eigenvalues, table.ground_moments, ground_splitting(params),
+        )
+
+    from_ints = outputs(ints)
+    assert from_ints[0].dtype == np.float64
+    np.testing.assert_allclose(np.diag(from_ints[0][1]), [0, 0, 3.28286, 16.71714], atol=1e-5)
+    for a, b in zip(from_ints, outputs(floats), strict=True):
+        np.testing.assert_array_equal(a, b)
 
 
 # ----------------------------------------------------------- eigensystem

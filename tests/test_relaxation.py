@@ -68,6 +68,40 @@ def test_evaluate_is_silent_when_rates_underflow():
     assert jac.shape == (30, 4)
 
 
+def per_channel_evaluate(theta, t):
+    """The per-channel form ``_evaluate`` replaced: one ``np.exp`` per channel."""
+    n = len(theta) // 2
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        channel = np.stack(
+            [np.exp(-theta[2 * i] - theta[2 * i + 1] / t) for i in range(n)], axis=1
+        )
+        rate = channel.sum(axis=1)
+        jac = np.empty((len(t), 2 * n))
+        jac[:, 0::2] = channel / rate[:, None]
+        jac[:, 1::2] = channel / (rate * t)[:, None]
+        return -np.log(rate), jac
+
+
+def test_evaluate_equals_per_channel_form():
+    """The broadcast over channels does the same IEEE operations per element
+    as one exp per channel, so ln tau and the Jacobian are bit-identical,
+    also for far-off candidates whose rates all underflow (inf and NaN)."""
+    rng = np.random.default_rng(6)
+    t = np.geomspace(0.3, 50.0, 25)
+    underflowed = 0
+    for k in range(200):
+        n = int(rng.integers(1, 5))
+        theta = np.empty(2 * n)
+        theta[0::2] = rng.uniform(-10.0, 5.0, n) + (800.0 if k % 10 == 0 else 0.0)
+        theta[1::2] = rng.uniform(0.0, 30.0, n)
+        ln_tau, jac = _evaluate(theta, t)
+        old_ln_tau, old_jac = per_channel_evaluate(theta, t)
+        underflowed += bool(np.all(ln_tau == np.inf))
+        assert np.array_equal(ln_tau, old_ln_tau)
+        assert np.array_equal(jac, old_jac, equal_nan=True)
+    assert underflowed == 20
+
+
 # ------------------------------------------------------------------ types
 
 def test_process_validation():
@@ -75,6 +109,21 @@ def test_process_validation():
         ArrheniusProcess(tau0=0.0, delta=1.0)
     with pytest.raises(ValueError):
         ArrheniusProcess(tau0=1.0, delta=-0.1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_every_field_rejects_nonfinite_values(value):
+    """Each scalar field is checked for finiteness, and the message names it."""
+    cases = [
+        ("prefactor tau0", lambda: ArrheniusProcess(tau0=value, delta=1.0)),
+        ("barrier delta", lambda: ArrheniusProcess(tau0=1.0, delta=value)),
+        ("temperature", lambda: LifetimePoint(t_kelvin=value, tau_s=1.0)),
+        ("lifetime", lambda: LifetimePoint(t_kelvin=1.0, tau_s=value)),
+        ("sigma_ln_tau", lambda: LifetimePoint(t_kelvin=1.0, tau_s=1.0, sigma_ln_tau=value)),
+    ]
+    for field, make in cases:
+        with pytest.raises(ValueError, match=f"^{field} must be .*, got {value}$"):
+            make()
 
 
 def test_model_sorts_processes_by_barrier():
@@ -139,10 +188,24 @@ def test_parallel_channels_only_accelerate():
 
 
 def test_lifetime_rejects_nonpositive_temperature():
-    with pytest.raises(ValueError):
+    # the message names the first bad value and where it is, not the whole grid
+    message = "^temperatures must be positive and finite, got 0.0 at index 0$"
+    with pytest.raises(ValueError, match=message):
         model_lifetime(SINGLE, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got -2.0 at index 1$"):
         model_lifetime(SINGLE, np.array([1.0, -2.0]))
+    with pytest.raises(ValueError, match="got -1.0 at index 0$"):
+        model_lifetime(SINGLE, np.linspace(-1.0, 5.0, 200))
+    with pytest.raises(ValueError, match=r"got nan at index \(1, 0\)$"):
+        model_lifetime(SINGLE, [[1.0, 2.0, 3.0], [math.nan, 5.0, -6.0]])
+
+
+def test_lifetime_keeps_the_grid_shape():
+    grid = np.geomspace(0.4, 30.0, 6).reshape(2, 3)
+    taus = model_lifetime(DY2S_C82.relaxation, grid)
+    assert taus.shape == (2, 3)
+    np.testing.assert_array_equal(taus.ravel(), model_lifetime(DY2S_C82.relaxation, grid.ravel()))
+    assert isinstance(model_lifetime(DY2S_C82.relaxation, 2.0), float)
 
 
 # -------------------------------------------------------------- synthesize
@@ -152,6 +215,9 @@ def test_synthesize_noise_free_lies_on_model():
     np.testing.assert_allclose(
         ds.lifetimes(), model_lifetime(DY2S_C82.relaxation, GRID_30), rtol=1e-15
     )
+    # a grid of any shape gives its points in C order, a scalar gives one point
+    assert synthesize(DY2S_C82.relaxation, GRID_30.reshape(5, 6), 0.0, seed=7).points == ds.points
+    assert synthesize(SINGLE, 2.0).points == (LifetimePoint(2.0, model_lifetime(SINGLE, 2.0)),)
 
 
 def test_synthesize_is_deterministic_per_seed():
@@ -167,6 +233,18 @@ def test_synthesize_rejects_bad_input():
         synthesize(SINGLE, [], 0.05, seed=0)
     with pytest.raises(ValueError):
         synthesize(SINGLE, GRID_30, -0.1, seed=0)
+
+
+def test_synthesize_names_the_temperature_where_the_lifetime_overflows():
+    # ln tau = 1077 at 2 K and 710 at 3 K: beyond float64, whatever the evaluation
+    model = RelaxationModel(processes=(ArrheniusProcess(tau0=1e-10, delta=2200.0),))
+    message = r"^lifetime exceeds float64 \(ln tau > 709.78\) at T = 2.0 K$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            synthesize(model, [2.0, 3.0, 4.0], 0.0, seed=0)
+        with pytest.raises(ValueError, match=r"at T = 3.0 K$"):
+            synthesize(model, [4.0, 3.0, 2.0], 0.05, seed=0)
 
 
 # -------------------------------------------------------------------- fit
