@@ -12,6 +12,7 @@ Units: energies as E/k_B in kelvin, fields in tesla, moments in Bohr
 magnetons, time in nanoseconds.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -237,7 +238,7 @@ def _restore_doublet_parity(h, vectors, nondegenerate):
     admixture of the other parity of order eps |H| / gap, which shows as
     a spurious moment (1e-7 mu_B along x for a field along y at
     U/A ~ 1e4).  Only stack entries marked ``nondegenerate`` are
-    projected, in place, and renormalized.
+    projected, in place, and only projected entries are renormalized.
     """
     swapped = h[..., _DOUBLET_SWAPS[:, :, None], _DOUBLET_SWAPS[:, None, :]]
     fix = (swapped == h[..., None, :, :]).all(axis=(-2, -1)) & nondegenerate[..., None]
@@ -250,7 +251,8 @@ def _restore_doublet_parity(h, vectors, nondegenerate):
     fix = fix[..., None]
     vectors[..., 1::2, :] = np.where(fix, np.where(even, half, -half), second)
     vectors[..., 0::2, :] = np.where(fix, half, first)
-    vectors /= np.linalg.norm(vectors, axis=-2, keepdims=True)
+    norm = np.linalg.norm(vectors, axis=-2, keepdims=True)
+    vectors /= np.where(fix.any(axis=-2, keepdims=True), norm, 1.0)
 
 
 def _pin_clusters(values, vectors, close):
@@ -369,15 +371,24 @@ def moment_expectation(state, params):
     return Moment(mx=mx, my=my, mz=np.zeros_like(mx))
 
 
+@functools.lru_cache(maxsize=1)
+def _spectrum(data):
+    """Read-only :func:`eigensystem` of the 4x4 matrix with float64 bytes ``data``."""
+    es = eigensystem(np.frombuffer(data).reshape(4, 4))
+    es.values.flags.writeable = es.vectors.flags.writeable = False
+    return es
+
+
 def evolve(initial, h, t_ns):
     """Propagate a state coherently for ``t_ns`` nanoseconds under ``h``.
 
     Diagonalizes ``h`` once, expands the state in the eigenbasis and
     applies the phase factors exp(-i * 2*pi * (k_B/h) * lambda_i * t); a
-    splitting of 1 K oscillates at 20.836619 GHz.  ``t_ns`` is a scalar,
-    giving a state of shape ``(4,)``, or an array of times, giving one
-    state per time (shape ``(..., 4)``).  The norm is preserved and the
-    map is reversible (t -> -t).
+    splitting of 1 K oscillates at 20.836619 GHz.  The last spectrum is
+    kept, and a call whose ``h`` has the same float64 entries reuses it.
+    ``t_ns`` is a scalar, giving a state of shape ``(4,)``, or an array of
+    times, giving one state per time (shape ``(..., 4)``).  The norm is
+    preserved and the map is reversible (t -> -t).
     """
     initial = _check_normalized(initial)
     if initial.shape != (4,) or np.shape(h) != (4, 4):
@@ -385,7 +396,7 @@ def evolve(initial, h, t_ns):
             f"evolve takes one state (4,) and one 4x4 Hamiltonian, "
             f"got shapes {initial.shape} and {np.shape(h)}"
         )
-    es = eigensystem(h)
+    es = _spectrum(np.asarray(h, dtype=float).tobytes())
     overlaps = es.vectors.T @ initial
     t = np.asarray(t_ns, dtype=float)[..., None]
     phases = np.exp(-2j * np.pi * K_B_OVER_H_GHZ * es.values * t)

@@ -245,7 +245,8 @@ def model_lifetime(model, t_kelvin):
     """Lifetime of the parallel-channel model at temperature(s) ``t_kelvin``.
 
     Accepts a scalar or an array of any shape and returns the same shape;
-    temperatures must be positive.
+    temperatures must be positive.  A lifetime beyond float64 (ln tau >
+    709.78) comes back as ``inf``, without a warning.
     """
     t = np.asarray(t_kelvin, dtype=float)
     grid = t.reshape(-1)
@@ -255,7 +256,9 @@ def model_lifetime(model, t_kelvin):
         raise ValueError(
             f"temperatures must be positive and finite, got {grid[bad[0]]} at index {index}"
         )
-    tau = np.exp(_evaluate(_theta_of(model), grid)[0])
+    log_tau = _evaluate(_theta_of(model), grid)[0]
+    with np.errstate(over="ignore"):
+        tau = np.exp(log_tau)
     return float(tau[0]) if t.ndim == 0 else tau.reshape(t.shape)
 
 

@@ -257,7 +257,11 @@ def test_lapack_matches_jacobi_oracle_on_random_fields():
 def test_batched_calls_equal_per_item_calls():
     rng = np.random.default_rng(12)
     params = ModelParams(u=-7.0, a=0.3, mu_x=4.0, mu_y=9.0)
-    stack = hamiltonian_stack(params, rng.uniform(-1.0, 1.0, 40), rng.uniform(-1.0, 1.0, 40))
+    bx, by = rng.uniform(-1.0, 1.0, 40), rng.uniform(-1.0, 1.0, 40)
+    # entries with a doublet symmetry among general ones: only they are projected
+    bx[3::7] = 0.0
+    by[5::7] = 0.0
+    stack = hamiltonian_stack(params, bx, by)
     batch = eigensystem(stack)
     assert batch.values.shape == (40, 4) and batch.vectors.shape == (40, 4, 4)
     for h, values, vectors in zip(stack, batch.values, batch.vectors):
@@ -488,3 +492,73 @@ def test_tunneling_beat_against_spectral_sum():
     simulated = np.abs(evolve(basis_state("1"), h, times)[:, 1]) ** 2
     np.testing.assert_allclose(simulated, oracle, atol=1e-10)
     assert simulated.max() >= 0.93
+
+
+def memo_free_evolve(initial, h, t):
+    """evolve written out with a fresh diagonalization on every call."""
+    es = eigensystem(h)
+    overlaps = es.vectors.T @ initial
+    phases = np.exp(-2j * np.pi * K_B_OVER_H_GHZ * es.values * np.asarray(t)[..., None])
+    return (overlaps * phases) @ es.vectors.T
+
+
+def test_evolve_diagonalizes_a_repeated_hamiltonian_once(monkeypatch):
+    calls = []
+
+    def counting_eigensystem(h):
+        calls.append(h)
+        return eigensystem(h)
+
+    monkeypatch.setattr("qtmpair.model.eigensystem", counting_eigensystem)
+    h = build_hamiltonian(ModelParams(u=3.7, a=0.21, mu_x=6.0, mu_y=8.0), FieldVector(by=0.05))
+    for t in np.linspace(0.0, 2.0, 200):
+        evolve(basis_state("2"), h, t)
+    assert len(calls) == 1
+
+
+def test_evolve_alternating_hamiltonians_equal_the_memo_free_form():
+    # opposite fields: equal traces and norms, different spectra
+    params = ModelParams(u=-7.0, a=0.3, mu_x=4.0, mu_y=9.0)
+    pair = [build_hamiltonian(params, FieldVector(bx=b, by=0.1)) for b in (0.2, -0.2)]
+    initial = basis_state("1")
+    for k, t in enumerate(np.linspace(0.0, 3.0, 20)):
+        h = pair[k % 2]
+        np.testing.assert_array_equal(evolve(initial, h, t), memo_free_evolve(initial, h, t))
+    times = np.linspace(0.0, 3.0, 7)
+    for h in pair + pair:
+        np.testing.assert_array_equal(
+            evolve(initial, h, times), memo_free_evolve(initial, h, times)
+        )
+
+
+def test_evolve_checks_every_matrix_it_is_given():
+    h = build_hamiltonian(P10, FieldVector(bx=0.1))
+    nonfinite = h.copy()
+    nonfinite[0, 0] = np.nan
+    asymmetric = h.copy()
+    asymmetric[0, 1] += 1.0
+    for bad, message in ((nonfinite, "non-finite"), (asymmetric, "not symmetric")):
+        evolve(basis_state("1"), h, 0.5)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                evolve(basis_state("1"), bad, 0.5)
+    # the matrix just accepted, made invalid in place
+    evolve(basis_state("1"), h, 0.5)
+    h[2, 2] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        evolve(basis_state("1"), h, 0.5)
+
+
+def test_evolve_follows_the_content_of_h():
+    initial = basis_state("2")
+    h = build_hamiltonian(P10, FieldVector(by=0.3))
+    before = evolve(initial, h, 0.7)
+    h[2, 2] += 1.5
+    h[3, 3] -= 1.5
+    after = evolve(initial, h, 0.7)
+    np.testing.assert_array_equal(after, memo_free_evolve(initial, h, 0.7))
+    assert not np.allclose(before, after)
+    integer = np.array([[0, -1, 0, -1], [-1, 0, -1, 0], [0, -1, 3, 0], [-1, 0, 0, 5]])
+    expected = memo_free_evolve(initial, integer.astype(float), 0.7)
+    for matrix in (integer, integer.astype(float), integer):
+        np.testing.assert_array_equal(evolve(initial, matrix, 0.7), expected)

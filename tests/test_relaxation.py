@@ -247,6 +247,17 @@ def test_synthesize_names_the_temperature_where_the_lifetime_overflows():
             synthesize(model, [4.0, 3.0, 2.0], 0.05, seed=0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lifetime_beyond_float64_is_inf_without_a_warning():
+    # ln tau = 1077 at 2 K, 710 at 3 K and 527 at 4 K
+    model = RelaxationModel(processes=(ArrheniusProcess(tau0=1e-10, delta=2200.0),))
+    taus = model_lifetime(model, [3.0, 2.0, 4.0])
+    assert taus[0] == taus[1] == math.inf
+    np.testing.assert_allclose(taus[2], 7.3e228, rtol=1e-2)
+    np.testing.assert_allclose(taus[2], 1e-10 * math.exp(550.0), rtol=1e-12)
+    assert model_lifetime(model, 2.0) == math.inf
+
+
 # -------------------------------------------------------------------- fit
 
 def test_fit_noise_free_single_process_is_exact():
