@@ -26,12 +26,11 @@ from .analysis import (
 )
 from .model import (
     BASIS_LABELS,
-    FieldVector,
     ModelParams,
     basis_state,
-    build_hamiltonian,
     eigensystem,
     evolve,
+    hamiltonian_stack,
     moment_expectation,
 )
 from .relaxation import (
@@ -87,10 +86,6 @@ def _model_params(args):
     return ModelParams(u=args.u, a=args.a, mu_x=mu_x, mu_y=args.mu_y)
 
 
-def _field(args):
-    return FieldVector(bx=args.bx, by=args.by, bz=args.bz)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qtmpair",
@@ -142,7 +137,6 @@ def build_parser():
     _add_model_flags(sub)
     sub.add_argument("--bx", type=float, default=0.0, help="field along x (tesla)")
     sub.add_argument("--by", type=float, default=0.0, help="field along y (tesla)")
-    sub.add_argument("--bz", type=float, default=0.0, help="field along z (tesla; has no effect)")
     _add_output_flag(sub)
     sub.set_defaults(handler=_cmd_eigen)
 
@@ -185,7 +179,6 @@ def build_parser():
         "--processes", type=int, required=True, choices=range(1, MAX_PROCESSES + 1),
         help=f"number of channels (1..{MAX_PROCESSES})",
     )
-    sub.add_argument("--format", choices=("json",), default="json", help="report format")
     sub.add_argument(
         "--curve-output", metavar="PATH", default=None,
         help="also write the model curve as CSV (T_K,tau_s) to this file",
@@ -232,7 +225,6 @@ def build_parser():
     _add_model_flags(sub)
     sub.add_argument("--bx", type=float, default=0.0, help="field along x (tesla)")
     sub.add_argument("--by", type=float, default=0.0, help="field along y (tesla)")
-    sub.add_argument("--bz", type=float, default=0.0, help="field along z (tesla; has no effect)")
     sub.add_argument(
         "--initial", choices=BASIS_LABELS, default="1", help="initial basis state"
     )
@@ -262,7 +254,7 @@ def _cmd_spectrum_field(args):
 
 
 def _cmd_eigen(args):
-    es = eigensystem(build_hamiltonian(_model_params(args), _field(args)))
+    es = eigensystem(hamiltonian_stack(_model_params(args), args.bx, args.by))
     return json_text({
         "values_K": es.values,
         "vectors": es.vectors.T,
@@ -287,8 +279,6 @@ def _cmd_extract(args):
         delta = splitting_from_model
     if delta is None:
         raise ValueError("provide --delta, or both --u and --a to compute the splitting")
-    if args.mode == "exact" and args.u is None:
-        raise ValueError("--mode exact requires --u >= 0")
 
     paper = args.mode in ("paper", "both")
     exact = args.mode == "exact" or (args.mode == "both" and args.u is not None and args.u >= 0)
@@ -360,7 +350,7 @@ def _cmd_evolve(args):
         raise ValueError("--t-max must be > 0 and finite (nanoseconds)")
     params = _model_params(args)
     times = np.linspace(0.0, args.t_max, args.points)
-    states = evolve(basis_state(args.initial), build_hamiltonian(params, _field(args)), times)
+    states = evolve(basis_state(args.initial), hamiltonian_stack(params, args.bx, args.by), times)
     moments = moment_expectation(states, params)
     populations = zip((f"p{label}" for label in BASIS_LABELS), (np.abs(states) ** 2).T)
     return csv_text({"t_ns": times, **dict(populations), "mx": moments.mx, "my": moments.my})

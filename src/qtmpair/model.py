@@ -14,7 +14,6 @@ magnetons, time in nanoseconds.
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -78,18 +77,13 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class FieldVector:
-    """Applied magnetic field in tesla.
-
-    The model's moments lie in the x-y plane, so ``bz`` couples to
-    nothing; it is accepted for interface completeness only.
-    """
+    """Applied magnetic field in tesla, in the x-y plane of the pair moments."""
 
     bx: float = 0.0
     by: float = 0.0
-    bz: float = 0.0
 
     def __post_init__(self):
-        if not all(np.isfinite(v) for v in (self.bx, self.by, self.bz)):
+        if not (math.isfinite(self.bx) and math.isfinite(self.by)):
             raise ValueError(f"field components must be finite, got {self}")
 
 
@@ -191,11 +185,6 @@ def build_hamiltonian(params, field=ZERO_FIELD):
     (4, 4) ndarray
         Real symmetric matrix in kelvin.
     """
-    if field.bz != 0.0:
-        warnings.warn(
-            "field component bz has no effect: the pair moments lie in the x-y plane",
-            stacklevel=2,
-        )
     return hamiltonian_stack(params, field.bx, field.by)
 
 

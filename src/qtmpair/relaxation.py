@@ -401,9 +401,9 @@ def fit(data, n_processes, init=None):
             damping *= DAMPING_FACTOR
         if not accepted:
             break
-        if change <= OBJECTIVE_RTOL * max(obj, np.finfo(float).tiny) or (
-            np.linalg.norm(step) < STEP_TOL
-        ):
+        with np.errstate(over="ignore"):    # a norm beyond float64 is inf: not a small step
+            small_step = np.linalg.norm(step) < STEP_TOL
+        if change <= OBJECTIVE_RTOL * max(obj, np.finfo(float).tiny) or small_step:
             converged = True
             break
 

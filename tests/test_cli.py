@@ -157,7 +157,7 @@ def test_fit_round_trip(capsys, tmp_path):
                     "--t-min", "0.4", "--t-max", "30", "--points", "30",
                     "--noise", "0.05", "--seed", "1", "--output", str(data)])
     out = run_ok(capsys, ["fit", "--input", str(data), "--processes", "2",
-                          "--format", "json", "--curve-output", str(curve)])
+                          "--curve-output", str(curve)])
     report = json.loads(out)
     assert report["converged"] is True
     deltas = [p["delta_K"] for p in report["model"]["processes"]]
@@ -203,6 +203,35 @@ def test_fit_bad_content_is_domain_error(capsys, tmp_path):
     assert main(["fit", "--input", str(bad), "--processes", "2"]) == 3
     diagnostic = json.loads(capsys.readouterr().err)
     assert diagnostic["error"] == "DatasetError"
+
+
+def test_fit_too_few_points_is_domain_error(capsys, tmp_path):
+    data = tmp_path / "five.csv"
+    run_ok(capsys, ["synth", "--process", "2.1e-3", "16.1", "--t-min", "0.4",
+                    "--t-max", "30", "--points", "5", "--output", str(data)])
+    assert main(["fit", "--input", str(data), "--processes", "2"]) == 3
+    diagnostic = json.loads(capsys.readouterr().err)
+    assert diagnostic == {
+        "error": "FitError",
+        "message": "need at least 8 points to fit 2 processes, got 5",
+    }
+
+
+def test_fit_not_converged_is_domain_error(capsys, tmp_path):
+    data = tmp_path / "data.csv"
+    run_ok(capsys, ["synth", "--process", "4.093809938893698", "9.73346085475476",
+                    "--process", "94.43496845702458", "22.236364350400162",
+                    "--process", "0.12958398199990195", "6.305812821156351",
+                    "--t-min", "0.4", "--t-max", "30", "--points", "30",
+                    "--noise", "0.05", "--seed", "70", "--output", str(data)])
+    assert main(["fit", "--input", str(data), "--processes", "3"]) == 3
+    diagnostic = json.loads(capsys.readouterr().err)
+    assert diagnostic == {
+        "error": "FitNotConverged",
+        "message": "fit did not converge within 500 iterations",
+        "iterations": 500,
+        "residual_rms": 0.04218303694197043,
+    }
 
 
 # ----------------------------------------------------------------- evolve

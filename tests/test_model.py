@@ -85,13 +85,6 @@ def test_general_field_diagonal():
     np.testing.assert_array_equal(h, h.T)
 
 
-def test_bz_is_inert_and_warns():
-    quiet = build_hamiltonian(P10)
-    with pytest.warns(UserWarning, match="bz"):
-        h = build_hamiltonian(P10, FieldVector(bz=3.0))
-    np.testing.assert_array_equal(h, quiet)
-
-
 def test_rejects_nonfinite_inputs():
     with pytest.raises(ValueError):
         ModelParams(u=np.nan, a=1.0, mu_x=10.0, mu_y=10.0)

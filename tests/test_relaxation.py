@@ -1,10 +1,12 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from qtmpair.model import basis_state, eigensystem, evolve
 from qtmpair.reference import DY2S_C82, TB2SCN_C80
 from qtmpair.relaxation import (
     ArrheniusProcess,
@@ -409,6 +411,20 @@ def test_fit_rejects_undersized_dataset():
         fit(ds, 5)
 
 
+def test_fit_step_whose_norm_overflows_warns_nothing():
+    """An accepted step can have a norm above 1e154, whose square overflows
+    float64.  Such a step is no small step, and the fit raises without
+    numpy's overflow warning (an error under the suite's warning filter)."""
+    model = RelaxationModel(processes=(
+        ArrheniusProcess(tau0=0.007018192444461753, delta=26.954021993347233),
+        ArrheniusProcess(tau0=36.717686560802115, delta=23.30798966940635),
+        ArrheniusProcess(tau0=10.008845306670972, delta=27.30316393394304),
+    ))
+    with pytest.raises(DegenerateParametersError) as exc:
+        fit(synthesize(model, GRID_30, 0.05, seed=129), 3)
+    assert exc.value.parameter_pair == ("ln_tau0_1", "delta_3")
+
+
 def test_fit_result_json_keys():
     res = fit(synthesize(SINGLE, GRID_30, 0.0, seed=0), 1)
     payload = json.loads(res.to_json())
@@ -467,3 +483,37 @@ def test_dataset_csv_rejects_malformed_rows():
         parse_dataset_csv("T_K,tau_s,sigma_ln_tau\n1.0,2.0,\n2.0,3.0,0.1\n3.0,4.0,x\n")
     with pytest.raises(ValueError, match="^line 3: temperature must be positive, got -3.0$"):
         parse_dataset_csv("T_K,tau_s\n1.0,2.0\n-3.0,4.0\n")
+
+
+# ------------------------------------------------------ rejected arguments
+
+TWO_STATES = np.tile(basis_state("1"), (2, 1))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: eigensystem(np.eye(3)), ValueError,
+         "expected a 4x4 matrix or a stack of them, got shape (3, 3)"),
+        (lambda: basis_state("3"), ValueError,
+         "unknown basis label '3', expected one of ('1', '1bar', '2', '2bar')"),
+        (lambda: evolve(TWO_STATES, np.eye(4), 1.0), ValueError,
+         "evolve takes one state (4,) and one 4x4 Hamiltonian, got shapes (2, 4) and (4, 4)"),
+        (lambda: evolve(basis_state("1"), np.zeros((2, 4, 4)), 1.0), ValueError,
+         "evolve takes one state (4,) and one 4x4 Hamiltonian, got shapes (4,) and (2, 4, 4)"),
+        (lambda: fit(synthesize(SINGLE, GRID_30, 0.0), 2, init=SINGLE), ValueError,
+         "init model has 1 processes, expected 2"),
+        (lambda: RelaxationModel(processes=((2.1e-3, 16.1),)), TypeError,
+         "processes must be ArrheniusProcess instances"),
+        (lambda: RelaxationDataset(points=((1.0, 2.0),)), TypeError,
+         "points must be LifetimePoint instances"),
+        # blank rows are skipped, so a file of blank rows holds no point
+        (lambda: parse_dataset_csv("T_K,tau_s\n\n , \n"), ValueError,
+         "dataset must contain at least one point"),
+    ],
+    ids=["eigensystem-3x3", "basis-label", "evolve-states", "evolve-matrices", "fit-init",
+         "model-type", "dataset-type", "csv-blank-rows"],
+)
+def test_library_rejects_malformed_arguments(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
