@@ -91,11 +91,10 @@ ZERO_FIELD = FieldVector()
 
 
 class Moment(NamedTuple):
-    """Magnetic moment expectation in Bohr magnetons (mz is always 0)."""
+    """Magnetic moment expectation in Bohr magnetons."""
 
     mx: float
     my: float
-    mz: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -235,11 +234,14 @@ def _restore_doublet_parity(h, vectors, nondegenerate):
         return
     first, second = vectors[..., 0::2, :], vectors[..., 1::2, :]
     total, difference = first + second, first - second
-    even = np.abs(total) >= np.abs(difference)
-    half = np.where(even, total, difference) / 2.0
+    # odd when the odd projection outweighs the even one, which holds the other pair too
+    even = difference**2 <= total**2 + 2.0 * (first**2 + second**2)[..., ::-1, :]
+    # an odd column is (|d|, -|d|)/2 on its pair and 0.0 on the other: the sign rule keeps both
+    half = np.where(even, total, np.abs(difference)) / 2.0
     fix = fix[..., None]
-    vectors[..., 1::2, :] = np.where(fix, np.where(even, half, -half), second)
-    vectors[..., 0::2, :] = np.where(fix, half, first)
+    other = (fix & ~even)[..., ::-1, :]
+    vectors[..., 1::2, :] = np.where(other, 0.0, np.where(fix, np.where(even, half, -half), second))
+    vectors[..., 0::2, :] = np.where(other, 0.0, np.where(fix, half, first))
     norm = np.linalg.norm(vectors, axis=-2, keepdims=True)
     vectors /= np.where(fix.any(axis=-2, keepdims=True), norm, 1.0)
 
@@ -356,8 +358,8 @@ def moment_expectation(state, params):
     mx = 2.0 * params.mu_x * (pop[..., 0] - pop[..., 1])
     my = 2.0 * params.mu_y * (pop[..., 2] - pop[..., 3])
     if state.ndim == 1:
-        return Moment(mx=float(mx), my=float(my), mz=0.0)
-    return Moment(mx=mx, my=my, mz=np.zeros_like(mx))
+        return Moment(mx=float(mx), my=float(my))
+    return Moment(mx=mx, my=my)
 
 
 @functools.lru_cache(maxsize=1)

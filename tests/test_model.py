@@ -272,11 +272,11 @@ def test_batched_calls_equal_per_item_calls():
         )
 
     moments = moment_expectation(states, params)
-    assert moments.mx.shape == moments.my.shape == moments.mz.shape == (60,)
+    assert moments.mx.shape == moments.my.shape == (60,)
     for i, state in enumerate(states):
         single = moment_expectation(state, params)
         assert isinstance(single.mx, float)
-        assert (moments.mx[i], moments.my[i], moments.mz[i]) == single
+        assert (moments.mx[i], moments.my[i]) == single
 
 
 def test_pinned_basis_in_exact_degeneracies():
@@ -317,6 +317,47 @@ def test_axis_fields_keep_doublet_parity_exact():
     # moments of all four eigenvectors: states along the last axis
     assert np.all(moment_expectation(np.swapaxes(along_y.vectors, -1, -2), params).mx == 0.0)
     assert np.all(moment_expectation(np.swapaxes(along_x.vectors, -1, -2), params).my == 0.0)
+
+
+def test_odd_eigenvectors_are_exact_zero_on_the_other_doublet():
+    """With Bx = 0 the odd subspace of the |1> <-> |1bar> swap is
+    (|1> - |1bar>) alone, so an odd nondegenerate eigenvector has |2> and
+    |2bar> amplitudes of exactly +0.0 (with By = 0 the same for |1>, |1bar>).
+    Oddness is read from the whole column: at zero field, deciding it from
+    the swapped pair alone can take the state that lives on the other
+    doublet for odd and zero it, which the eigen-equation check catches."""
+    rng = np.random.default_rng(2024)
+    hamiltonians, fields = [], []
+    for axis in (None, "bx", "by"):
+        for _ in range(1000):
+            params = ModelParams(
+                u=rng.choice([-1.0, 1.0]) * math.exp(rng.uniform(math.log(0.1), math.log(100.0))),
+                a=math.exp(rng.uniform(math.log(1e-3), math.log(10.0))),
+                mu_x=rng.uniform(1.0, 20.0), mu_y=rng.uniform(1.0, 20.0),
+            )
+            field = FieldVector(**({} if axis is None else {axis: rng.uniform(-3.0, 3.0)}))
+            hamiltonians.append(build_hamiltonian(params, field))
+            fields.append((field.bx, field.by))
+    h = np.stack(hamiltonians)
+    es = eigensystem(h)
+    scale = np.abs(es.values).max(axis=-1)[:, None]
+    residual = np.linalg.norm(h @ es.vectors - es.vectors * es.values[:, None, :], axis=-2)
+    assert np.all(residual <= 1e-14 * scale)
+    gram = np.swapaxes(es.vectors, -1, -2) @ es.vectors
+    assert np.all(np.abs(gram - np.eye(4)) <= 1e-14)
+    gaps = np.pad(np.diff(es.values, axis=-1), ((0, 0), (1, 1)), constant_values=np.inf)
+    isolated = np.minimum(gaps[:, :-1], gaps[:, 1:]) > 1e-9 * scale
+    columns = np.swapaxes(es.vectors, -1, -2)           # (draw, column, amplitude)
+    bx, by = np.array(fields).T
+    checked = 0
+    for symmetric, pair, other in ((bx == 0.0, [0, 1], [2, 3]), (by == 0.0, [2, 3], [0, 1])):
+        # odd: the odd projection ((v_a - v_b)^2 / 2) holds more than half the norm
+        odd = (columns[..., pair[0]] - columns[..., pair[1]]) ** 2 > 1.0
+        odd &= isolated & symmetric[:, None]
+        rest = columns[..., other][odd]
+        assert np.all(rest == 0.0) and not np.signbit(rest).any()
+        checked += odd.sum()
+    assert checked >= 3500
 
 
 # ----------------------------------------------------------- closed form
@@ -384,19 +425,19 @@ def test_zero_field_eigenstates_carry_no_moment():
         cf = zero_field_eigensystem(params)
         for j in range(4):
             m = moment_expectation(cf.vectors[:, j].astype(complex), params)
-            assert abs(m.mx) < 1e-14 and abs(m.my) < 1e-14 and m.mz == 0.0
+            assert abs(m.mx) < 1e-14 and abs(m.my) < 1e-14
         # numeric route only where the spectrum is resolved; inside a
         # quasi-degenerate cluster single eigenvectors are not identifiable
         if np.min(np.diff(cf.values)) >= 0.5:
             es = eigensystem(build_hamiltonian(params))
             for j in range(4):
                 m = moment_expectation(es.vectors[:, j].astype(complex), params)
-                assert abs(m.mx) < 1e-10 and abs(m.my) < 1e-10 and m.mz == 0.0
+                assert abs(m.mx) < 1e-10 and abs(m.my) < 1e-10
 
 
 def test_pure_basis_state_moment():
     m = moment_expectation(basis_state("2"), P10)
-    assert m == (0.0, 20.0, 0.0)
+    assert m == (0.0, 20.0)
 
 
 def test_ground_state_saturates_at_large_field():

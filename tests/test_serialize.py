@@ -1,10 +1,15 @@
-"""One contract for every CSV table the package writes (``qtmpair.serialize``)."""
+"""One contract for every CSV table and JSON text the package writes (``qtmpair.serialize``)."""
 
+import json
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtmpair.analysis import sweep_field, sweep_ratio
-from qtmpair.cli import main
+from qtmpair.cli import DomainError, main
 from qtmpair.model import (
     BASIS_LABELS,
     FieldVector,
@@ -16,6 +21,7 @@ from qtmpair.model import (
 )
 from qtmpair.reference import DY2S_C82
 from qtmpair.relaxation import fit, load_dataset, model_lifetime, synthesize
+from qtmpair.serialize import json_text
 
 P = ModelParams(u=10.0, a=1.0, mu_x=7.0, mu_y=10.0)
 TEMPERATURES = np.geomspace(0.4, 30.0, 30)
@@ -83,3 +89,77 @@ def test_csv_writer_contract(tmp_path, writer):
         assert row == [repr(float(cell)) for cell in row]
     parsed = np.array(cells, dtype=float)
     np.testing.assert_array_equal(parsed, np.column_stack(list(expected.values())))
+
+
+# ------------------------------------------------------------------ JSON
+
+SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, -1e308, 0.1]
+TEXT = st.text(max_size=6) | st.sampled_from(
+    ['"quoted"', "line\nbreak", "tab\t", "é→∞", "\\", ""]
+)
+
+
+def arrays(dtype, elements):
+    return hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+                      elements=elements)
+
+
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), TEXT,
+    arrays(np.float64, st.floats() | st.sampled_from(SPECIAL_FLOATS)),
+    arrays(np.float32, st.floats(width=32)),
+    arrays(np.int64, st.integers(-(2**63), 2**63 - 1)),
+    arrays(np.bool_, st.booleans()),
+)
+JSON_OBJECTS = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(TEXT, children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150)
+@given(JSON_OBJECTS)
+def test_json_text_matches_the_stdlib_indented_encoder(obj):
+    """Same bytes as the stdlib's indent-2 encoder, the oracle, for nested
+    containers, escaped keys and every array kind the package can hand it."""
+    assert json_text(obj) == json.dumps(obj, indent=2, default=np.ndarray.tolist) + "\n"
+
+
+def fit_report():
+    data = synthesize(DY2S_C82.relaxation, TEMPERATURES, noise_sigma=0.05, seed=4)
+    return fit(data, 2).to_json()
+
+
+def cli_output(capsys, argv):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("emitter", [
+    lambda capsys: sweep_field(P, 2.0, 41).to_json(),
+    lambda capsys: sweep_ratio(-20.0, 20.0, 41).to_json(),
+    lambda capsys: fit_report(),
+    lambda capsys: DomainError(
+        "DegenerateParameters", 'fit "degenerate" at \u00e9',
+        parameter_pair=["ln_tau0_1", "delta_3"], residual_rms=0.04218303694197043,
+    ).to_json(),
+    lambda capsys: cli_output(
+        capsys, ["eigen", "--u", "10", "--a", "1", "--mu-y", "10", "--by", "0.5"]
+    ),
+    lambda capsys: cli_output(capsys, ["extract", "--u", "-15", "--a", "1", "--mu-y", "10"]),
+], ids=["field_table", "ratio_table", "fit", "domain_error", "eigen", "extract"])
+def test_json_emitter_contract(capsys, emitter):
+    """Every JSON text the package writes is the stdlib's indent-2 layout of its own parse."""
+    text = emitter(capsys)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_json_text_takes_string_keys_only():
+    """The stdlib would turn 1 into "1"; a key that is not a string is refused instead."""
+    with pytest.raises(TypeError):
+        json_text({"table": {1: 0.5}})
