@@ -94,7 +94,7 @@ def sweep_field(params, max_field_ratio, n_points):
 
 
 def _check_points(n_points):
-    if int(n_points) != n_points or n_points < 2:
+    if not (isinstance(n_points, (int, np.integer)) and n_points >= 2):
         raise ValueError(f"n_points must be an integer >= 2, got {n_points}")
 
 

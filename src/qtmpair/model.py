@@ -32,8 +32,11 @@ CLUSTER_RTOL = 1e-13
 # A projection shorter than this adds no direction when a degenerate
 # cluster's basis is pinned; one at least this long always remains.
 PIN_MIN_NORM = 1e-3
-# Basis orders with |1> <-> |1bar> and with |2> <-> |2bar> swapped.
-_DOUBLET_SWAPS = np.array([[1, 0, 2, 3], [0, 1, 3, 2]])
+# Rows (first, second, sign) of the butterflies to the unnormalized doublet-parity
+# basis (|1>-|1bar>, |1>+|1bar>, |2>+|2bar>, |2>-|2bar>) and back: no 0*x terms,
+# so a -0.0 entry stays -0.0.
+_TO_PARITY = ([0, 0, 2, 2], [1, 1, 3, 3], np.array([[-1.0], [1.0], [1.0], [-1.0]]))
+_FROM_PARITY = ([0, 1, 2, 2], [1, 0, 3, 3], np.array([[1.0], [-1.0], [1.0], [-1.0]]))
 
 
 @dataclass(frozen=True)
@@ -106,8 +109,9 @@ class EigenSystem:
     eigenvectors as columns aligned with ``values``.  In each column the
     amplitude of largest magnitude is made positive, the first one where
     several tie.  Ties come from symmetry, as +-1/sqrt(2) in
-    (|1> - |1bar>)/sqrt(2), and are exact: the doublet-parity step writes
-    both amplitudes as +- the same number.  Within an exactly
+    (|1> - |1bar>)/sqrt(2), and are exact: in the doublet-parity basis
+    that state decouples exactly at Bx = 0, with the level -0.0, as does
+    (|2> - |2bar>)/sqrt(2) at By = 0, with the level U.  Within an exactly
     degenerate cluster the basis is pinned instead: Gram-Schmidt of the
     projections of |1>, |1bar>, |2>, |2bar>, in that order, onto the
     cluster's subspace, each vector with a positive amplitude on the basis
@@ -203,61 +207,44 @@ def eigensystem(h):
         raise ValueError("Hamiltonian has non-finite entries")
     if not (h == np.swapaxes(h, -1, -2)).all():
         raise ValueError("matrix is not symmetric")
-    values, vectors = np.linalg.eigh(h)
+    # In the parity basis the model is a tridiagonal chain, diagonal (0, 0, U, U),
+    # with the difference states at its ends.  Where h commutes with a doublet
+    # swap, that state's row and column are exact zeros; the exact level and
+    # vector rest on LAPACK keeping them (no reflector, a QL split there), which
+    # test_levels_are_exact_under_doublet_symmetry and
+    # test_odd_eigenvectors_are_exact_zero_on_the_other_doublet check.
+    rotated = 0.5 * _butterfly(np.swapaxes(_butterfly(h, _TO_PARITY), -1, -2), _TO_PARITY)
+    values, parity_vectors = np.linalg.eigh(rotated)
+    vectors = _canonical_signs(np.sqrt(0.5) * _butterfly(parity_vectors, _FROM_PARITY))
     scale = np.maximum(-values[..., :1], values[..., 3:])
     close = values[..., 1:] - values[..., :-1] <= CLUSTER_RTOL * scale
     degenerate = close.any(axis=-1)
-    _restore_doublet_parity(h, vectors, ~degenerate)
-    vectors = _canonical_signs(vectors)
     if degenerate.any():
-        flat_values, flat_vectors = values.reshape(-1, 4), vectors.reshape(-1, 4, 4)
-        flat_close = close.reshape(-1, 3)
-        for i in np.flatnonzero(degenerate):
-            _pin_clusters(flat_values[i], flat_vectors[i], flat_close[i])
+        for i in map(tuple, np.argwhere(degenerate)):
+            _pin_clusters(values[i], parity_vectors[i], vectors[i], close[i])
     return EigenSystem(values=values, vectors=vectors)
 
 
-def _restore_doublet_parity(h, vectors, nondegenerate):
-    """Make eigenvectors exactly even or odd under each doublet swap that h commutes with.
-
-    Swapping |1> and |1bar> is a symmetry of the pair Hamiltonian when
-    Bx = 0, swapping |2> and |2bar> when By = 0.  A nondegenerate
-    eigenvector is then even or odd under the swap, but LAPACK leaves an
-    admixture of the other parity of order eps |H| / gap, which shows as
-    a spurious moment (1e-7 mu_B along x for a field along y at
-    U/A ~ 1e4).  Only stack entries marked ``nondegenerate`` are
-    projected, in place, and only projected entries are renormalized.
-    """
-    swapped = h[..., _DOUBLET_SWAPS[:, :, None], _DOUBLET_SWAPS[:, None, :]]
-    fix = (swapped == h[..., None, :, :]).all(axis=(-2, -1)) & nondegenerate[..., None]
-    if not fix.any():
-        return
-    first, second = vectors[..., 0::2, :], vectors[..., 1::2, :]
-    total, difference = first + second, first - second
-    # odd when the odd projection outweighs the even one, which holds the other pair too
-    even = difference**2 <= total**2 + 2.0 * (first**2 + second**2)[..., ::-1, :]
-    # an odd column is (|d|, -|d|)/2 on its pair and 0.0 on the other: the sign rule keeps both
-    half = np.where(even, total, np.abs(difference)) / 2.0
-    fix = fix[..., None]
-    other = (fix & ~even)[..., ::-1, :]
-    vectors[..., 1::2, :] = np.where(other, 0.0, np.where(fix, np.where(even, half, -half), second))
-    vectors[..., 0::2, :] = np.where(other, 0.0, np.where(fix, half, first))
-    norm = np.linalg.norm(vectors, axis=-2, keepdims=True)
-    vectors /= np.where(fix.any(axis=-2, keepdims=True), norm, 1.0)
+def _butterfly(m, rows):
+    """Row j of a (..., 4, n) stack ``m`` to m[first[j]] + sign[j] * m[second[j]]."""
+    first, second, sign = rows
+    return m.take(first, axis=-2) + sign * m.take(second, axis=-2)
 
 
-def _pin_clusters(values, vectors, close):
+def _pin_clusters(values, parity_vectors, vectors, close):
     """Fix, in place, the basis of each exactly degenerate cluster.
 
     ``close[j]`` marks eigenpairs j and j+1 as one cluster.  The basis is
     Gram-Schmidt of the projections of |1>, |1bar>, |2>, |2bar>, in that
     order, onto the cluster's subspace, skipping projections that add no
-    new direction.  Each vector keeps the sign Gram-Schmidt gives it, a
-    positive amplitude on the basis state it was projected from: the
-    largest-magnitude rule would let rounding choose the sign where two
-    amplitudes are equal by symmetry, as in (|2> - |2bar>)/sqrt(2).
-    LAPACK's sort leaves equal eigenvalues in any order, so -0.0 and 0.0
-    are put in a fixed order too (negative zero first).
+    new direction; the projector is built from ``parity_vectors`` and
+    rotated back exactly, so a = 0 gives the identity.  Each vector keeps
+    the sign Gram-Schmidt gives it, a positive amplitude on the basis
+    state it was projected from: the largest-magnitude rule would let
+    rounding choose the sign where two amplitudes are equal by symmetry,
+    as in (|2> - |2bar>)/sqrt(2).  LAPACK's sort leaves equal eigenvalues
+    in any order, so -0.0 and 0.0 are put in a fixed order too (negative
+    zero first).
     """
     edges = [0, *(j + 1 for j in range(3) if not close[j]), 4]
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -265,9 +252,10 @@ def _pin_clusters(values, vectors, close):
             continue
         cluster = values[lo:hi]
         values[lo:hi] = cluster[np.lexsort((~np.signbit(cluster), cluster))]
-        block = vectors[:, lo:hi]
+        block = parity_vectors[:, lo:hi]
+        projector = 0.5 * _butterfly(_butterfly(block @ block.T, _FROM_PARITY).T, _FROM_PARITY)
         basis = []
-        for column in block @ block.T:          # P|1>, P|1bar>, ... (P is symmetric)
+        for column in projector:                # P|1>, P|1bar>, ... (P is symmetric)
             for b in basis:
                 column = column - b * (b @ column)
             norm = np.linalg.norm(column)

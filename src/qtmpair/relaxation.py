@@ -344,8 +344,8 @@ def fit(data, n_processes, init=None):
         If the Gauss-Newton normal matrix is numerically singular, e.g.
         when two channels collapse onto each other.
     """
-    if not 1 <= n_processes <= MAX_PROCESSES:
-        raise ValueError(f"n_processes must be in 1..{MAX_PROCESSES}, got {n_processes}")
+    if not (isinstance(n_processes, (int, np.integer)) and 1 <= n_processes <= MAX_PROCESSES):
+        raise ValueError(f"n_processes must be an integer in 1..{MAX_PROCESSES}, got {n_processes}")
     n_params = 2 * n_processes
     if len(data.points) < 2 * n_params:
         raise ValueError(

@@ -47,6 +47,9 @@ def test_ratio_sweep_rejects_bad_range():
         sweep_ratio(5.0, 5.0, 10)
     with pytest.raises(ValueError):
         sweep_ratio(0.0, 10.0, 1)
+    for n_points in (math.inf, math.nan, 3.0):
+        with pytest.raises(ValueError, match=f"^n_points must be an integer >= 2, got {n_points}$"):
+            sweep_ratio(0.0, 1.0, n_points)
 
 
 def test_field_sweep_zero_field_row_matches_closed_form():

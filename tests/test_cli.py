@@ -101,6 +101,21 @@ def test_eigen_report(capsys):
     )
 
 
+def test_symmetry_protected_cells_print_exactly(capsys):
+    # the level 0 of (|1> - |1bar>)/sqrt(2) prints as the IEEE zero -0.0
+    data = json.loads(run_ok(capsys, ["eigen", "--u", "10", "--a", "1", "--mu-y", "10"]))
+    assert repr(data["values_K"][1]) == "-0.0"
+    # U < 0: the level U of (|2> - |2bar>)/sqrt(2) at zero field, 0 at every field along y
+    out = run_ok(capsys, ["spectrum-field", "--u", "-15", "--a", "1", "--mu-y", "10",
+                          "--max", "2", "--points", "3"])
+    cells = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert cells[0][2] == "-15.0"
+    assert [row[3] for row in cells] == ["-0.0"] * 3
+    # U = 0: a degenerate cluster beside an exactly even ground state
+    data = json.loads(run_ok(capsys, ["eigen", "--u", "0", "--a", "1", "--mu-y", "10"]))
+    assert data["vectors"][0] == [0.5, 0.5, 0.5, 0.5]
+
+
 # ---------------------------------------------------------------- extract
 
 def test_extract_quarter_rule(capsys):

@@ -360,6 +360,49 @@ def test_odd_eigenvectors_are_exact_zero_on_the_other_doublet():
     assert checked >= 3500
 
 
+def test_levels_are_exact_under_doublet_symmetry():
+    """With Bx = 0 the level of (|1> - |1bar>)/sqrt(2) is exactly 0 and with
+    By = 0 that of (|2> - |2bar>)/sqrt(2) is exactly U, each vector exactly
+    +-sqrt(1/2) on its pair and 0 elsewhere: in the doublet-parity basis that
+    state's row and column are exact zeros, which LAPACK keeps."""
+    rng = np.random.default_rng(99)
+    hamiltonians, us, fields = [], [], []
+    for axis in (None, "bx", "by"):
+        for _ in range(3000):
+            params = ModelParams(
+                u=rng.choice([-1.0, 1.0]) * math.exp(rng.uniform(math.log(0.1), math.log(100.0))),
+                a=math.exp(rng.uniform(math.log(1e-3), math.log(10.0))),
+                mu_x=rng.uniform(1.0, 20.0), mu_y=rng.uniform(1.0, 20.0),
+            )
+            field = FieldVector(**({} if axis is None else {axis: rng.uniform(-3.0, 3.0)}))
+            hamiltonians.append(build_hamiltonian(params, field))
+            us.append(params.u)
+            fields.append((field.bx, field.by))
+    es = eigensystem(np.stack(hamiltonians))
+    columns = np.swapaxes(es.vectors, -1, -2)
+    bx, by = np.array(fields).T
+    q = math.sqrt(0.5)
+    for symmetric, level, vector in (
+        (bx == 0.0, np.zeros(len(us)), [q, -q, 0.0, 0.0]),
+        (by == 0.0, np.array(us), [0.0, 0.0, q, -q]),
+    ):
+        exact = es.values[symmetric] == level[symmetric, None]
+        assert symmetric.sum() == 6000 and np.all(exact.sum(axis=-1) == 1)
+        np.testing.assert_array_equal(columns[symmetric][exact], np.tile(vector, (6000, 1)))
+
+
+def test_zero_u_eigenvectors_carry_no_moment():
+    """At U = 0 and zero field the two odd states share the level 0 and are
+    pinned as a cluster; the other two are still exactly even under both
+    doublet swaps, so no eigenvector carries a moment."""
+    for a, mu_x in ((0.3, 7.0), (1e-3, 10.0), (1.0, 10.0), (37.0, 3.0)):
+        params = ModelParams(u=0.0, a=a, mu_x=mu_x, mu_y=10.0)
+        es = eigensystem(build_hamiltonian(params))
+        moments = moment_expectation(np.swapaxes(es.vectors, -1, -2), params)
+        assert np.all(moments.mx == 0.0) and np.all(moments.my == 0.0)
+        np.testing.assert_array_equal(es.vectors[:, 0], [0.5, 0.5, 0.5, 0.5])
+
+
 # ----------------------------------------------------------- closed form
 
 def test_closed_form_at_ratio_ten():

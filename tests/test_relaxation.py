@@ -503,6 +503,10 @@ TWO_STATES = np.tile(basis_state("1"), (2, 1))
          "evolve takes one state (4,) and one 4x4 Hamiltonian, got shapes (4,) and (2, 4, 4)"),
         (lambda: fit(synthesize(SINGLE, GRID_30, 0.0), 2, init=SINGLE), ValueError,
          "init model has 1 processes, expected 2"),
+        (lambda: fit(synthesize(SINGLE, GRID_30, 0.0), 1.5), ValueError,
+         "n_processes must be an integer in 1..4, got 1.5"),
+        (lambda: fit(synthesize(SINGLE, GRID_30, 0.0), 2.0), ValueError,
+         "n_processes must be an integer in 1..4, got 2.0"),
         (lambda: RelaxationModel(processes=((2.1e-3, 16.1),)), TypeError,
          "processes must be ArrheniusProcess instances"),
         (lambda: RelaxationDataset(points=((1.0, 2.0),)), TypeError,
@@ -512,6 +516,7 @@ TWO_STATES = np.tile(basis_state("1"), (2, 1))
          "dataset must contain at least one point"),
     ],
     ids=["eigensystem-3x3", "basis-label", "evolve-states", "evolve-matrices", "fit-init",
+         "fit-fractional-processes", "fit-float-processes",
          "model-type", "dataset-type", "csv-blank-rows"],
 )
 def test_library_rejects_malformed_arguments(call, error, message):
