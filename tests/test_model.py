@@ -1,8 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qtmpair import model
 from qtmpair.analysis import ground_splitting, sweep_field
 from qtmpair.constants import K_B_OVER_H_GHZ, MU_B_OVER_K_B
 from qtmpair.jacobi import jacobi_eigh
@@ -495,8 +499,21 @@ def test_ground_state_saturates_at_large_field():
 
 
 def test_moment_rejects_unnormalized_state():
-    with pytest.raises(ValueError, match="normalized"):
+    with pytest.raises(ValueError) as err:
         moment_expectation(np.array([1.0, 1.0, 0.0, 0.0]), P10)
+    assert str(err.value) == "state is not normalized (|norm - 1| = 4.142e-01)"
+    # a stack names its first bad state
+    states = np.tile(basis_state("1"), (20, 1))
+    states[17] *= 1.002
+    states[19] *= 3.0
+    with pytest.raises(ValueError) as err:
+        moment_expectation(states, P10)
+    assert str(err.value) == "state 17 is not normalized (|norm - 1| = 2.000e-03)"
+    grid = np.tile(basis_state("2"), (2, 3, 1))
+    grid[1, 2] = 0.0
+    with pytest.raises(ValueError) as err:
+        moment_expectation(grid, P10)
+    assert str(err.value) == "state (1, 2) is not normalized (|norm - 1| = 1.000e+00)"
 
 
 def test_hellmann_feynman_derivative():
@@ -639,3 +656,94 @@ def test_evolve_follows_the_content_of_h():
     expected = memo_free_evolve(initial, integer.astype(float), 0.7)
     for matrix in (integer, integer.astype(float), integer):
         np.testing.assert_array_equal(evolve(initial, matrix, 0.7), expected)
+
+
+# ------------------------------------------------------------ state checks
+
+def random_state(rng, shape=()):
+    raw = rng.normal(size=shape + (4,)) + 1j * rng.normal(size=shape + (4,))
+    return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+
+
+def test_nonfinite_states_are_rejected():
+    h = build_hamiltonian(P10, FieldVector(bx=0.1))
+    message = r" is not normalized \(\|norm - 1\| = (nan|inf)\)$"
+    for bad in (np.nan, np.inf, -np.inf, complex(0.5, np.nan), complex(np.inf, -np.inf)):
+        single = np.array([bad, 0.0, 0.0, 0.0], dtype=complex)
+        stack = np.tile(basis_state("2"), (3, 1))
+        stack[1, 2] = bad
+        for call in (lambda s: moment_expectation(s, P10), lambda s: evolve(s, h, 0.5)):
+            with pytest.raises(ValueError, match="^state" + message):
+                call(single)
+            with pytest.raises(ValueError, match="^state 1" + message):
+                call(stack)
+    # amplitudes whose squares sum beyond float64
+    with pytest.raises(ValueError, match="not normalized"):
+        moment_expectation(np.full(4, 1e154), P10)
+
+
+def test_norm_tolerance_boundary():
+    """The population-based check keeps the norm semantics: |norm - 1| <= 1e-9."""
+    rng = np.random.default_rng(31)
+    h = build_hamiltonian(P10, FieldVector(bx=0.2, by=0.1))
+    for call in (lambda s: moment_expectation(s, P10), lambda s: evolve(s, h, 0.5)):
+        for scale in (1.0 - 0.5e-9, 1.0 + 0.5e-9):
+            call(scale * random_state(rng))
+        for scale in (1.0 - 2e-9, 1.0 + 2e-9):
+            with pytest.raises(ValueError, match="^state is not normalized"):
+                call(scale * random_state(rng))
+    for scale in (1.0 - 0.5e-9, 1.0 + 0.5e-9):
+        moment_expectation(scale * random_state(rng, (3,)), P10)
+    for scale in (1.0 - 2e-9, 1.0 + 2e-9):
+        states = random_state(rng, (3,))
+        states[2] *= scale
+        for call in (lambda s: moment_expectation(s, P10), lambda s: evolve(s, h, 0.5)):
+            with pytest.raises(ValueError, match="^state 2 is not normalized"):
+                call(states)
+
+
+def test_evolve_rejects_nonfinite_times():
+    h = build_hamiltonian(P10, FieldVector(by=0.2))
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"^time must be finite, got {t}$"):
+            evolve(basis_state("1"), h, t)
+    with pytest.raises(ValueError, match="^time must be finite, got nan at index 3$"):
+        evolve(basis_state("1"), h, [0.0, 1.0, 2.0, np.nan, np.inf])
+    with pytest.raises(ValueError, match=re.escape("got -inf at index (1, 0)")):
+        evolve(basis_state("1"), h, [[0.0, 1.0], [-np.inf, 2.0]])
+
+
+PARAMS = st.builds(
+    ModelParams,
+    u=st.one_of(st.just(0.0), st.floats(-50.0, 50.0)),
+    a=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+    mu_x=st.floats(0.1, 15.0),
+    mu_y=st.floats(0.1, 15.0),
+)
+FIELD = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+AMPLITUDES = st.lists(
+    st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+    min_size=4, max_size=4,
+).filter(lambda z: np.linalg.norm(z) > 1e-3)
+TIMES = st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=12)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(PARAMS, FIELD, FIELD, AMPLITUDES, TIMES)
+def test_evolve_and_moments_are_bitwise_consistent(params, bx, by, amplitudes, times):
+    """Scalar and array times, memo hit and miss, and the memo-free form
+    give the same bits; so do stacked and per-row moments."""
+    h = hamiltonian_stack(params, bx, by)
+    initial = np.asarray(amplitudes) / np.linalg.norm(amplitudes)
+    times = np.asarray(times)
+    model._spectrum.cache_clear()
+    states = evolve(initial, h, times)
+    np.testing.assert_array_equal(evolve(initial, h, times), states)
+    np.testing.assert_array_equal(memo_free_evolve(initial, h, times), states)
+    for t, row in zip(times, states):
+        np.testing.assert_array_equal(evolve(initial, h, t), row)
+        np.testing.assert_array_equal(memo_free_evolve(initial, h, t), row)
+    assert model._spectrum.cache_info().misses == 1     # every other call was a hit
+    moments = moment_expectation(states, params)
+    for i, state in enumerate(states):
+        assert moment_expectation(state, params) == (moments.mx[i], moments.my[i])
