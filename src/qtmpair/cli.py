@@ -3,7 +3,8 @@ time traces, and Arrhenius dataset synthesis/fitting.
 
 Exit codes: 0 on success, 2 for argument errors (usage text on stderr;
 every ``ValueError`` a handler raises, including the library's own
-parameter checks, is reported this way), 3 for domain errors such as a
+parameter checks, and every file that cannot be read or written is
+reported this way), 3 for domain errors such as a
 non-convergent fit (machine-readable JSON diagnostic on stderr).  Output
 is byte-reproducible for identical inputs: floats are printed as
 shortest round-trip decimals.
@@ -74,13 +75,6 @@ def _add_model_flags(sub):
     )
 
 
-def _add_output_flag(sub):
-    sub.add_argument(
-        "--output", metavar="PATH", default=None,
-        help="output file (default: standard output)",
-    )
-
-
 def _model_params(args):
     mu_x = args.mu_y if args.mu_x is None else args.mu_x
     return ModelParams(u=args.u, a=args.a, mu_x=mu_x, mu_y=args.mu_y)
@@ -107,7 +101,6 @@ def build_parser():
     sub.add_argument("--max", type=float, required=True, help="last U/A ratio (dimensionless)")
     sub.add_argument("--points", type=int, required=True, help="number of scan points (>= 2)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-    _add_output_flag(sub)
     sub.set_defaults(handler=_cmd_spectrum_ua)
 
     sub = commands.add_parser(
@@ -126,7 +119,6 @@ def build_parser():
     )
     sub.add_argument("--points", type=int, required=True, help="number of scan points (>= 2)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-    _add_output_flag(sub)
     sub.set_defaults(handler=_cmd_spectrum_field)
 
     sub = commands.add_parser(
@@ -137,7 +129,6 @@ def build_parser():
     _add_model_flags(sub)
     sub.add_argument("--bx", type=float, default=0.0, help="field along x (tesla)")
     sub.add_argument("--by", type=float, default=0.0, help="field along y (tesla)")
-    _add_output_flag(sub)
     sub.set_defaults(handler=_cmd_eigen)
 
     sub = commands.add_parser(
@@ -161,7 +152,6 @@ def build_parser():
         help="tunneling extraction rule: quarter rule ('paper'), closed-form inversion "
         "('exact'), or both",
     )
-    _add_output_flag(sub)
     sub.set_defaults(handler=_cmd_extract)
 
     sub = commands.add_parser(
@@ -187,7 +177,6 @@ def build_parser():
         "--grid-points", type=int, default=200,
         help="size of the dense log-spaced temperature grid for the curve (>= 2)",
     )
-    _add_output_flag(sub)
     sub.set_defaults(handler=_cmd_fit)
 
     sub = commands.add_parser(
@@ -210,7 +199,6 @@ def build_parser():
         "--noise", type=float, default=0.0, help="ln-tau noise width (dimensionless, >= 0)"
     )
     sub.add_argument("--seed", type=int, default=0, help="random seed (integer)")
-    _add_output_flag(sub)
     sub.set_defaults(handler=_cmd_synth)
 
     sub = commands.add_parser(
@@ -230,12 +218,15 @@ def build_parser():
     )
     sub.add_argument("--t-max", type=float, required=True, help="trace length (nanoseconds)")
     sub.add_argument("--points", type=int, required=True, help="number of samples (>= 2)")
-    _add_output_flag(sub)
     sub.set_defaults(handler=_cmd_evolve)
 
-    # each subcommand reports usage errors against its own parser, and reads
-    # -1.5e1 or -inf as a value: argparse's own rule takes only -1 and -1.5
+    # each subcommand ends with --output, reports usage errors against its own parser
+    # and reads -1.5e1 or -inf as a value: argparse's own rule takes only -1 and -1.5
     for sub_parser in commands.choices.values():
+        sub_parser.add_argument(
+            "--output", metavar="PATH", default=None,
+            help="output file (default: standard output)",
+        )
         sub_parser.set_defaults(_parser=sub_parser)
         sub_parser._negative_number_matcher = _NEGATIVE_FLOAT
     return parser
@@ -303,8 +294,6 @@ def _cmd_fit(args):
         raise ValueError(f"--grid-points must be >= 2, got {args.grid_points}")
     try:
         data = load_dataset(args.input)
-    except FileNotFoundError:
-        raise ValueError(f"input file not found: {args.input}") from None
     except ValueError as err:
         raise DomainError("DatasetError", str(err), path=args.input) from err
 
@@ -368,14 +357,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         output = args.handler(args)
-    except ValueError as err:
+        if args.output is not None:
+            _write_text(args.output, output)
+    except (ValueError, OSError) as err:    # an OSError names its file
         args._parser.error(str(err))
     except DomainError as err:
         sys.stderr.write(err.to_json())
         return EXIT_DOMAIN
-    if args.output is not None:
-        _write_text(args.output, output)
-    else:
+    if args.output is None:
         sys.stdout.write(output)
     return EXIT_OK
 

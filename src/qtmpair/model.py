@@ -333,13 +333,15 @@ def _check_normalized(state):
     state = np.asarray(state, dtype=complex)
     if state.ndim == 0 or state.shape[-1] != 4:
         raise ValueError(f"state must have 4 amplitudes, got shape {state.shape}")
-    pop = np.abs(state) ** 2
-    if state.ndim == 1:     # a sum of Python floats: 4x faster than pop.sum() here
-        error = abs(math.sqrt(sum(pop.tolist())) - 1.0)
+    if state.ndim == 1:     # a list of Python floats: faster here, and overflow gives inf silently
+        pop = [a * a for a in np.abs(state).tolist()]
+        error = abs(math.sqrt(sum(pop)) - 1.0)
         if not error <= NORM_TOL:   # NaN fails too
             raise ValueError(f"state is not normalized (|norm - 1| = {error:.3e})")
     else:
-        error = abs(np.sqrt(pop.sum(axis=-1)) - 1.0)
+        with np.errstate(over="ignore"):    # a huge amplitude gives an inf norm, rejected below
+            pop = np.abs(state) ** 2
+            error = abs(np.sqrt(pop.sum(axis=-1)) - 1.0)
         if not (error <= NORM_TOL).all():
             i = _first(~(error <= NORM_TOL))
             raise ValueError(f"state {i} is not normalized (|norm - 1| = {error[i]:.3e})")
@@ -356,11 +358,8 @@ def moment_expectation(state, params):
     shape ``(..., 4)`` give a :class:`Moment` of arrays of shape ``(...)``.
     """
     state, pop = _check_normalized(state)
-    mx = 2.0 * params.mu_x * (pop[..., 0] - pop[..., 1])
-    my = 2.0 * params.mu_y * (pop[..., 2] - pop[..., 3])
-    if state.ndim == 1:
-        return Moment(mx=float(mx), my=float(my))
-    return Moment(mx=mx, my=my)
+    p1, p1bar, p2, p2bar = pop if state.ndim == 1 else (pop[..., k] for k in range(4))
+    return Moment(mx=2.0 * params.mu_x * (p1 - p1bar), my=2.0 * params.mu_y * (p2 - p2bar))
 
 
 @functools.lru_cache(maxsize=1)

@@ -79,7 +79,8 @@ class LifetimePoint:
 
     ``sigma_ln_tau`` is the optional one-sigma uncertainty of ln(tau);
     ``mode`` is a free measurement tag such as 'DC' or 'AC', carried as
-    metadata only.
+    metadata only; it must read back unchanged from CSV, so it holds no
+    comma, double quote, line break or NUL and no leading or trailing space.
     """
 
     t_kelvin: float
@@ -96,14 +97,16 @@ class LifetimePoint:
             math.isfinite(self.sigma_ln_tau) and self.sigma_ln_tau > 0
         ):
             raise ValueError(f"sigma_ln_tau must be positive when given, got {self.sigma_ln_tau}")
+        mode = self.mode
+        if mode and (mode != mode.strip() or any(c in mode for c in ',"\r\n\0')):
+            raise ValueError(f"mode tag {mode!r} cannot be written to CSV unchanged")
 
 
 @dataclass(frozen=True)
 class RelaxationDataset:
-    """Collection of lifetime observations with a source label."""
+    """Collection of lifetime observations."""
 
     points: tuple
-    source: str = ""
 
     def __post_init__(self):
         pts = tuple(self.points)
@@ -131,7 +134,7 @@ class RelaxationDataset:
         return csv_text(columns)
 
 
-def parse_dataset_csv(text, source=""):
+def parse_dataset_csv(text):
     """Parse dataset CSV with header ``T_K,tau_s[,sigma_ln_tau][,mode]``."""
     reader = csv.reader(io.StringIO(text))
     try:
@@ -163,7 +166,7 @@ def parse_dataset_csv(text, source=""):
             points.append(LifetimePoint(t_kelvin, tau_s, sigma, record.get("mode", "")))
         except ValueError as err:
             raise ValueError(f"line {number}: {err}") from None
-    return RelaxationDataset(points=tuple(points), source=source)
+    return RelaxationDataset(points=tuple(points))
 
 
 def _cell_value(record, column, number):
@@ -176,7 +179,7 @@ def _cell_value(record, column, number):
 def load_dataset(path):
     """Read a dataset CSV file."""
     with open(path, encoding="utf-8") as handle:
-        return parse_dataset_csv(handle.read(), source=str(path))
+        return parse_dataset_csv(handle.read())
 
 
 @dataclass(frozen=True)
@@ -283,9 +286,7 @@ def synthesize(model, temperatures, noise_sigma=0.0, seed=0):
     points = tuple(
         LifetimePoint(t_kelvin=t, tau_s=tau) for t, tau in zip(temps.tolist(), taus.tolist())
     )
-    return RelaxationDataset(
-        points=points, source=f"synthetic(seed={seed}, noise_sigma={noise_sigma})"
-    )
+    return RelaxationDataset(points=points)
 
 
 # -------------------------------------------------------------------- fit
@@ -300,7 +301,8 @@ def _segmented_init(t, ln_tau, n_processes):
     theta = np.empty(2 * n_processes)
     for k in range(n_processes):
         segment = slice(round(k * n / n_processes), round((k + 1) * n / n_processes))
-        slope, intercept = np.polyfit(x[segment], y[segment], 1)
+        # full=True returns the same line, but no RankWarning where all T are equal
+        (slope, intercept), *_ = np.polyfit(x[segment], y[segment], 1, full=True)
         theta[2 * k] = intercept            # ln tau0
         theta[2 * k + 1] = max(slope, 0.0)  # barrier cannot be negative
     return theta
@@ -314,13 +316,15 @@ def _sorted_pairs(theta):
     return out
 
 
-def fit(data, n_processes, init=None):
+def fit(data, n_processes):
     """Fit ``n_processes`` parallel Arrhenius channels to a dataset.
 
     Minimizes sum_k w_k (ln tau_k - ln tau_model(T_k))^2 over the
     parameters (ln tau0_i, delta_i) by Gauss-Newton with multiplicative
     damping (x10 on uphill trials, /10 after accepted steps).  Weights
-    are 1/sigma^2 where a point carries an uncertainty, else 1.
+    are 1/sigma^2 where a point carries an uncertainty, else 1.  The
+    iteration starts from a straight-line fit to each of ``n_processes``
+    equal-count segments of the Arrhenius plot.
 
     Parameters
     ----------
@@ -328,9 +332,6 @@ def fit(data, n_processes, init=None):
         Needs at least ``2 * 2 * n_processes`` points.
     n_processes : int
         Number of channels, 1 to 4.
-    init : RelaxationModel, optional
-        Starting model; default is a straight-line fit to each of
-        ``n_processes`` equal-count segments of the Arrhenius plot.
 
     Returns
     -------
@@ -358,15 +359,7 @@ def fit(data, n_processes, init=None):
         [1.0 if p.sigma_ln_tau is None else p.sigma_ln_tau**-2 for p in data.points]
     )
 
-    if init is not None:
-        if len(init.processes) != n_processes:
-            raise ValueError(
-                f"init model has {len(init.processes)} processes, expected {n_processes}"
-            )
-        theta = _theta_of(init)
-    else:
-        theta = _segmented_init(t, y, n_processes)
-
+    theta = _segmented_init(t, y, n_processes)
     ln_tau, jac = _evaluate(theta, t)
     residual = y - ln_tau
     obj = float(np.sum(weights * residual**2))

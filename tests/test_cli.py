@@ -212,6 +212,28 @@ def test_fit_missing_input_is_usage_error(capsys, tmp_path):
     run_usage_error(capsys, ["fit", "--input", str(tmp_path / "nope.csv"), "--processes", "2"])
 
 
+@pytest.mark.parametrize(
+    "flag, name", [("--output", "missing/x.json"), ("--curve-output", "."), ("--input", ".")]
+)
+def test_file_errors_are_usage_errors_naming_the_path(capsys, tmp_path, flag, name):
+    data = tmp_path / "data.csv"
+    run_ok(capsys, ["synth", "--process", "2.1e-3", "16.1", "--t-min", "0.4",
+                    "--t-max", "30", "--points", "12", "--output", str(data)])
+    # a file in a missing directory, or a directory in place of a file; the
+    # last --input wins
+    bad = str(tmp_path / name)
+    err = run_usage_error(capsys, ["fit", "--input", str(data), "--processes", "1", flag, bad])
+    assert err.splitlines()[-1].endswith(repr(bad))
+
+
+def test_fit_on_one_temperature_keeps_stderr_json(capsys, tmp_path):
+    # polyfit's start line through four points at one T is rank-deficient
+    data = tmp_path / "flat.csv"
+    data.write_text("T_K,tau_s\n2,1\n2,2\n2,3\n2,4\n")
+    assert main(["fit", "--input", str(data), "--processes", "1"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "DegenerateParameters"
+
+
 def test_fit_bad_content_is_domain_error(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("wrong,header\n1,2\n")

@@ -677,9 +677,14 @@ def test_nonfinite_states_are_rejected():
                 call(single)
             with pytest.raises(ValueError, match="^state 1" + message):
                 call(stack)
-    # amplitudes whose squares sum beyond float64
-    with pytest.raises(ValueError, match="not normalized"):
-        moment_expectation(np.full(4, 1e154), P10)
+    # amplitudes whose squares (1e200) or their sum (1e154) exceed float64 give an
+    # inf norm, with no overflow warning (this suite makes warnings errors)
+    for amplitude in (1e154, 1e200):
+        for call in (lambda s: moment_expectation(s, P10), lambda s: evolve(s, h, 0.5)):
+            with pytest.raises(ValueError, match="^state" + message):
+                call(np.full(4, amplitude))
+            with pytest.raises(ValueError, match="^state 0" + message):
+                call(np.full((3, 4), amplitude))
 
 
 def test_norm_tolerance_boundary():

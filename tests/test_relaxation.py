@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtmpair.model import basis_state, eigensystem, evolve
 from qtmpair.reference import DY2S_C82, TB2SCN_C80
@@ -333,16 +335,6 @@ def test_fit_matches_scipy_least_squares():
                 np.testing.assert_allclose(fitted.tau0, tau0, rtol=1e-6)
 
 
-def test_fit_uses_explicit_init():
-    ds = synthesize(DY2S_C82.relaxation, GRID_30, 0.0, seed=0)
-    init = RelaxationModel(
-        processes=(ArrheniusProcess(1.0e2, 0.5), ArrheniusProcess(1.0e-2, 12.0))
-    )
-    res = fit(ds, 2, init=init)
-    assert res.converged
-    np.testing.assert_allclose(res.model.processes[0].delta, 0.34, rtol=1e-8)
-
-
 def test_fit_respects_point_weights():
     # an off-model point with a huge ln-tau uncertainty is effectively ignored
     ds = synthesize(SINGLE, GRID_30, 0.0, seed=0)
@@ -441,17 +433,50 @@ def test_dataset_csv_round_trip(tmp_path):
         LifetimePoint(4.0, 1.25, sigma_ln_tau=None, mode="AC"),
         LifetimePoint(20.0, 3.1e-3, sigma_ln_tau=0.02, mode=""),
     )
-    ds = RelaxationDataset(points=points, source="unit")
+    ds = RelaxationDataset(points=points)
     text = ds.to_csv()
     assert text.splitlines()[0] == "T_K,tau_s,sigma_ln_tau,mode"
-    back = parse_dataset_csv(text)
-    assert back.points == points
+    assert parse_dataset_csv(text) == ds
 
     path = tmp_path / "data.csv"
     path.write_text(text)
-    loaded = load_dataset(path)
-    assert loaded.points == points
-    assert loaded.source == str(path)
+    assert load_dataset(path) == ds
+    synthetic = synthesize(SINGLE, GRID_30, 0.05, seed=4)
+    assert parse_dataset_csv(synthetic.to_csv()) == synthetic
+
+
+def accepted_tag(mode):
+    try:
+        LifetimePoint(1.0, 1.0, mode=mode)
+    except ValueError:
+        return False
+    return True
+
+
+POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+POINTS = st.builds(
+    LifetimePoint,
+    t_kelvin=POSITIVE,
+    tau_s=POSITIVE,
+    sigma_ln_tau=st.none() | POSITIVE,
+    # any text the tag rule lets through must survive the CSV round trip
+    mode=st.just("") | st.text(max_size=8).filter(accepted_tag),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=100)
+@given(st.lists(POINTS, min_size=1, max_size=40))
+def test_dataset_csv_round_trip_property(points):
+    ds = RelaxationDataset(points=tuple(points))
+    assert parse_dataset_csv(ds.to_csv()) == ds
+
+
+@pytest.mark.parametrize(
+    "mode", ["a,b", '"x', 'x"y', " DC", "DC ", "a\nb", "a\rb", "\t", "a\0"]
+)
+def test_point_rejects_tags_that_csv_cannot_carry(mode):
+    with pytest.raises(ValueError, match=f"^mode tag {re.escape(repr(mode))} cannot be written"):
+        LifetimePoint(1.0, 2.0, mode=mode)
 
 
 def test_dataset_csv_minimal_columns():
@@ -483,6 +508,8 @@ def test_dataset_csv_rejects_malformed_rows():
         parse_dataset_csv("T_K,tau_s,sigma_ln_tau\n1.0,2.0,\n2.0,3.0,0.1\n3.0,4.0,x\n")
     with pytest.raises(ValueError, match="^line 3: temperature must be positive, got -3.0$"):
         parse_dataset_csv("T_K,tau_s\n1.0,2.0\n-3.0,4.0\n")
+    with pytest.raises(ValueError, match="^line 3: mode tag 'a,b' cannot be written"):
+        parse_dataset_csv('T_K,tau_s,mode\n1.0,2.0,DC\n1.0,2.0,"a,b"\n')
 
 
 # ------------------------------------------------------ rejected arguments
@@ -501,8 +528,6 @@ TWO_STATES = np.tile(basis_state("1"), (2, 1))
          "evolve takes one state (4,) and one 4x4 Hamiltonian, got shapes (2, 4) and (4, 4)"),
         (lambda: evolve(basis_state("1"), np.zeros((2, 4, 4)), 1.0), ValueError,
          "evolve takes one state (4,) and one 4x4 Hamiltonian, got shapes (4,) and (2, 4, 4)"),
-        (lambda: fit(synthesize(SINGLE, GRID_30, 0.0), 2, init=SINGLE), ValueError,
-         "init model has 1 processes, expected 2"),
         (lambda: fit(synthesize(SINGLE, GRID_30, 0.0), 1.5), ValueError,
          "n_processes must be an integer in 1..4, got 1.5"),
         (lambda: fit(synthesize(SINGLE, GRID_30, 0.0), 2.0), ValueError,
@@ -515,7 +540,7 @@ TWO_STATES = np.tile(basis_state("1"), (2, 1))
         (lambda: parse_dataset_csv("T_K,tau_s\n\n , \n"), ValueError,
          "dataset must contain at least one point"),
     ],
-    ids=["eigensystem-3x3", "basis-label", "evolve-states", "evolve-matrices", "fit-init",
+    ids=["eigensystem-3x3", "basis-label", "evolve-states", "evolve-matrices",
          "fit-fractional-processes", "fit-float-processes",
          "model-type", "dataset-type", "csv-blank-rows"],
 )
