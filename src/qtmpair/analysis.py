@@ -8,6 +8,7 @@ compensates U).  The scalar helpers convert between the ground-state gap,
 the tunneling element and the oscillation frequency.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,8 @@ def sweep_ratio(ratio_min, ratio_max, n_points):
     """
     if not (np.isfinite(ratio_min) and np.isfinite(ratio_max)) or ratio_min >= ratio_max:
         raise ValueError(f"need finite ratio_min < ratio_max, got {ratio_min} and {ratio_max}")
+    if not math.isfinite(float(ratio_max) - float(ratio_min)):
+        raise ValueError(f"ratio range {ratio_min} to {ratio_max} exceeds float64")
     _check_points(n_points)
     ratios = np.linspace(ratio_min, ratio_max, n_points)
     return SweepTable(
@@ -104,7 +107,10 @@ def zeeman_threshold(params):
     At this field along y the Zeeman energy of the antiferromagnetic
     doublet compensates the splitting U and the diabatic levels cross.
     """
-    return abs(params.u) / (2.0 * params.mu_y * MU_B_OVER_K_B)
+    threshold = abs(params.u) / (2.0 * params.mu_y * MU_B_OVER_K_B)
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold field exceeds float64 at u = {params.u}, mu_y = {params.mu_y}")
+    return threshold
 
 
 def ground_splitting(params):
@@ -113,11 +119,20 @@ def ground_splitting(params):
     Equals (sqrt(U^2 + 16 A^2) - |U|) / 2; the tunneling element lifts
     the ground doublet degeneracy by this amount.  Evaluated in the
     rationalized form 8 A^2 / (sqrt(U^2 + 16 A^2) + |U|), which avoids
-    cancellation deep in the protected regime U >> A.
+    cancellation deep in the protected regime U >> A.  Raises ``ValueError``
+    if the gap exceeds float64.
     """
-    if params.a == 0.0:
+    u, a = abs(params.u), params.a
+    if a == 0.0:
         return 0.0
-    return float(8.0 * params.a**2 / (np.hypot(params.u, 4.0 * params.a) + abs(params.u)))
+    numerator = 8.0 * a**2 if a < 1e154 else math.inf     # float ** raises on overflow
+    denominator = float(np.hypot(u, 4.0 * a)) + u           # D; float + gives inf silently
+    if math.isfinite(numerator) and math.isfinite(denominator):
+        return numerator / denominator
+    delta = a * (a / float(np.hypot(u / 8.0, a / 2.0) + u / 8.0))    # A * A / (D / 8)
+    if not math.isfinite(delta):
+        raise ValueError(f"ground splitting exceeds float64 at u = {params.u}, a = {a}")
+    return delta
 
 
 def tunneling_from_splitting(delta, u=None, mode="exact"):
@@ -137,15 +152,20 @@ def tunneling_from_splitting(delta, u=None, mode="exact"):
     if mode == "exact":
         if u is None or not np.isfinite(u) or u < 0:
             raise ValueError(f"exact inversion requires a finite u >= 0, got {u}")
-        return float(np.sqrt(delta * (delta + u)) / 2.0)
+        delta, u = float(delta), float(u)    # Python floats overflow to inf without a warning
+        product = delta * (delta + u)
+        if math.isfinite(product):
+            return math.sqrt(product) / 2.0
+        return math.sqrt(delta) * math.sqrt(delta / 4.0 + u / 4.0)
     raise ValueError(f"mode must be 'paper' or 'exact', got {mode!r}")
 
 
 def kelvin_to_gigahertz(delta):
     """Oscillation frequency of an energy splitting: delta * k_B/h in GHz."""
-    if not np.isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta}")
-    return delta * K_B_OVER_H_GHZ
+    frequency = float(delta) * K_B_OVER_H_GHZ
+    if not math.isfinite(frequency):
+        raise ValueError(f"delta must be finite with a finite frequency, got {delta}")
+    return frequency
 
 
 # Annotations attached to extraction reports.  The published values for the

@@ -32,6 +32,7 @@ CLUSTER_RTOL = 1e-13
 # A projection shorter than this adds no direction when a degenerate
 # cluster's basis is pinned; one at least this long always remains.
 PIN_MIN_NORM = 1e-3
+MAX_ENTRY = np.finfo(float).max / 4     # the parity butterflies add up to four entries
 # Rows (first, second, sign) of the butterflies to the unnormalized doublet-parity
 # basis (|1>-|1bar>, |1>+|1bar>, |2>+|2bar>, |2>-|2bar>) and back: no 0*x terms,
 # so a -0.0 entry stays -0.0.
@@ -198,13 +199,15 @@ def eigensystem(h):
     ``h`` has shape ``(4, 4)`` or ``(n, 4, 4)``; the result has ``values``
     of shape ``(..., 4)`` and ``vectors`` of shape ``(..., 4, 4)``, with
     the conventions of :class:`EigenSystem`.  Raises ``ValueError`` if an
-    entry is not finite or a matrix is not symmetric as stored.
+    entry is not finite or beyond ``MAX_ENTRY``, or a matrix is not symmetric.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim not in (2, 3) or h.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix or a stack of them, got shape {h.shape}")
-    if not np.isfinite(h).all():
-        raise ValueError("Hamiltonian has non-finite entries")
+    if not (np.abs(h) <= MAX_ENTRY).all():     # NaN fails too
+        if not np.isfinite(h).all():
+            raise ValueError("Hamiltonian has non-finite entries")
+        raise ValueError(f"Hamiltonian entry {np.abs(h).max()} exceeds {MAX_ENTRY} in magnitude")
     if not (h == np.swapaxes(h, -1, -2)).all():
         raise ValueError("matrix is not symmetric")
     # In the parity basis the model is a tridiagonal chain, diagonal (0, 0, U, U),
@@ -273,13 +276,14 @@ def zero_field_values(u, a):
     (|2> - |2bar>)/sqrt(2) are exact eigenstates at 0 and U.  The
     symmetric combinations mix through the 2x2 block
     [[0, -2A], [-2A, U]], giving the pair (U -+ sqrt(U^2 + 16A^2))/2
-    that brackets the spectrum.  Returns shape ``(..., 4)``, ascending.
+    that brackets the spectrum, summed from halves so that it stays finite
+    for any finite U.  Returns shape ``(..., 4)``, ascending.
     """
     u, a = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(a, dtype=float))
-    s = np.hypot(u, 4.0 * a)
+    half_u, half_s = u / 2.0, np.hypot(u, 4.0 * a) / 2.0
     negative = u < 0
     return np.stack(
-        [(u - s) / 2.0, np.where(negative, u, 0.0), np.where(negative, 0.0, u), (u + s) / 2.0],
+        [half_u - half_s, np.where(negative, u, 0.0), np.where(negative, 0.0, u), half_u + half_s],
         axis=-1,
     )
 

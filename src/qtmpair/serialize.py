@@ -20,11 +20,12 @@ def csv_text(columns):
     """CSV text: header, one line per row, final newline.
 
     ``columns`` maps each header name, in order, to an array of floats,
-    written as :func:`fmt` writes them, or to a list of formatted cells.
+    written as :func:`fmt` writes them, or to a list of formatted cells,
+    written as given.
     """
     cells = [
-        values.tolist() if values.dtype.kind == "U" else map(repr, values.astype(float).tolist())
-        for values in map(np.asarray, columns.values())
+        values if isinstance(values, list) else map(repr, np.asarray(values, float).tolist())
+        for values in columns.values()
     ]
     return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
 

@@ -47,6 +47,8 @@ def test_ratio_sweep_rejects_bad_range():
         sweep_ratio(5.0, 5.0, 10)
     with pytest.raises(ValueError):
         sweep_ratio(0.0, 10.0, 1)
+    with pytest.raises(ValueError, match="^ratio range -1e[+]308 to 1e[+]308 exceeds float64$"):
+        sweep_ratio(-1e308, 1e308, 3)
     for n_points in (math.inf, math.nan, 3.0):
         with pytest.raises(ValueError, match=f"^n_points must be an integer >= 2, got {n_points}$"):
             sweep_ratio(0.0, 1.0, n_points)
@@ -141,6 +143,29 @@ def test_ground_splitting_values():
     np.testing.assert_allclose(
         ground_splitting(ModelParams(u=0.0, a=1.0, mu_x=1.0, mu_y=1.0)), 2.0, rtol=1e-14
     )
+
+
+def test_scalars_stay_finite_or_raise_near_the_float64_limit():
+    # (sqrt(U**2 + 16 A**2) - |U|) / 2, where 8 A**2 or the sum |U| + |U| overflows
+    for u, a, gap in (
+        (1e200, 1e200, 1e200 * (17**0.5 - 1.0) / 2.0),
+        (0.0, 1e200, 2e200),
+        (-3e307, 2e160, 16e13 / 3.0),       # 4 A**2 / |U|, as A << |U|
+        (1e308, 1.0, 4e-308),
+        (1.0, 5e307, 1e308),
+    ):
+        np.testing.assert_allclose(
+            ground_splitting(ModelParams(u=u, a=a, mu_x=1.0, mu_y=1.0)), gap, rtol=1e-15
+        )
+    with pytest.raises(ValueError, match="^ground splitting exceeds float64 at u = 1.0, a = 1e"):
+        ground_splitting(ModelParams(u=1.0, a=1e308, mu_x=1.0, mu_y=1.0))
+    np.testing.assert_allclose(tunneling_from_splitting(1e200, u=1.0), 5e199, rtol=1e-15)
+    np.testing.assert_allclose(tunneling_from_splitting(1e308, u=1e308), 1e308 / 2**0.5,
+                               rtol=1e-15)
+    with pytest.raises(ValueError, match="got 1e[+]308$"):
+        kelvin_to_gigahertz(1e308)
+    with pytest.raises(ValueError, match="^threshold field exceeds float64 at u = 1e[+]308"):
+        zeeman_threshold(ModelParams(u=1e308, a=1.0, mu_x=1.0, mu_y=1e-300))
 
 
 def test_quarter_rule_extraction():

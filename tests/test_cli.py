@@ -335,6 +335,60 @@ def test_synth_names_the_temperature_where_the_lifetime_overflows(capsys):
     assert "lifetime exceeds float64 (ln tau > 709.78) at T = 2.0 K" in err
 
 
+SPECTRAL_OVERFLOW = [
+    ("eigen --u 1 --a 5e307 --mu-y 1", 2, "error: Hamiltonian entry 5e+307 exceeds"),
+    ("spectrum-field --u 1 --a 5e307 --mu-y 1 --max 2 --points 3", 2,
+     "error: Hamiltonian entry 5e+307 exceeds"),
+    ("evolve --u 1 --a 5e307 --mu-y 1 --t-max 1 --points 3", 2,
+     "error: Hamiltonian entry 5e+307 exceeds"),
+    ("eigen --u 1e308 --a 1e308 --mu-y 1", 2, "error: Hamiltonian entry 1e+308 exceeds"),
+    ("spectrum-ua --min 0 --max 1e308 --points 3", 0, "\n1e+308,0.0,0.0,1e+308,1e+308\n"),
+    ("spectrum-ua --min 0 --max 1e308 --points 3 --format json", 0,
+     '"lambda4": [\n    2.0,\n    5e+307,\n    1e+308\n  ]'),
+    ("spectrum-ua --min -1e308 --max 0 --points 3", 0, "\n-1e+308,-1e+308,-1e+308,0.0,0.0\n"),
+    ("spectrum-ua --min -1e308 --max 1e308 --points 3", 2,
+     "error: ratio range -1e+308 to 1e+308 exceeds float64"),
+]
+
+
+@pytest.mark.parametrize("argv, code, expected", SPECTRAL_OVERFLOW,
+                         ids=[case[0] for case in SPECTRAL_OVERFLOW])
+def test_spectral_overflow_is_rejected_or_finite(capsys, argv, code, expected):
+    # each of these printed nan or inf levels, a numpy warning or an unrelated message
+    if code:
+        err = run_usage_error(capsys, argv.split())
+        assert expected in err and "Warning" not in err
+    else:
+        out = run_ok(capsys, argv.split())
+        assert expected in out and "nan" not in out and "inf" not in out.lower()
+
+
+EXTRACT_OVERFLOW = [
+    ("extract --u 1e200 --a 1e200 --mode paper", 0,
+     '"splitting_K": 1.5615528128088306e+200,'),
+    ("extract --u 1e200 --a 1e200 --mode paper --delta 1", 0, '"splitting_K": 1.0,'),
+    ("extract --u 1e308 --a 1", 0, '"splitting_K": 4e-308,'),
+    ("extract --delta 1e200 --u 1 --mode exact", 0, '"tunneling_exact_K": 5e+199,'),
+    ("extract --delta 1e308 --mode paper", 2,
+     "error: delta must be finite with a finite frequency, got 1e+308"),
+    ("extract --u 1 --a 1e308", 2,
+     "error: ground splitting exceeds float64 at u = 1.0, a = 1e+308"),
+    ("extract --delta 1 --u 1e308 --mu-y 1e-300", 2,
+     "error: threshold field exceeds float64 at u = 1e+308, mu_y = 1e-300"),
+]
+
+
+@pytest.mark.parametrize("argv, code, expected", EXTRACT_OVERFLOW,
+                         ids=[case[0] for case in EXTRACT_OVERFLOW])
+def test_extract_overflow_is_rejected_or_finite(capsys, argv, code, expected):
+    # these ended in an OverflowError traceback or printed 0.0 or Infinity
+    if code:
+        assert expected in run_usage_error(capsys, argv.split())
+    else:
+        out = run_ok(capsys, argv.split())
+        assert expected in out and "Infinity" not in out and "NaN" not in out
+
+
 # ----------------------------------------------------------- determinism
 
 def test_outputs_are_byte_identical_across_runs(capsys, tmp_path):

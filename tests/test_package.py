@@ -1,0 +1,39 @@
+"""The package as a user meets it: the README examples, the import graph, the version."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qtmpair
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_python_examples_run_in_order(capsys):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.M | re.S)
+    assert len(blocks) >= 3
+    namespace = {}
+    for number, block in enumerate(blocks, 1):
+        exec(compile(block, f"README.md python block {number}", "exec"), namespace)
+    assert capsys.readouterr().out.startswith("axis,lambda1,lambda2,lambda3,lambda4,mx,my\n")
+    assert namespace["states"].shape == (64, 4)
+    assert len(namespace["result"].model.processes) == 2
+
+
+def test_cli_import_leaves_the_reference_data_out():
+    probe = "import sys, qtmpair.cli; print('qtmpair.reference' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout == "False\n"
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")     # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        assert tomllib.load(handle)["project"]["version"] == qtmpair.__version__

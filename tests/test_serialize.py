@@ -21,7 +21,7 @@ from qtmpair.model import (
 )
 from qtmpair.reference import DY2S_C82
 from qtmpair.relaxation import fit, load_dataset, model_lifetime, synthesize
-from qtmpair.serialize import json_text
+from qtmpair.serialize import csv_text, json_text
 
 P = ModelParams(u=10.0, a=1.0, mu_x=7.0, mu_y=10.0)
 TEMPERATURES = np.geomspace(0.4, 30.0, 30)
@@ -89,6 +89,12 @@ def test_csv_writer_contract(tmp_path, writer):
         assert row == [repr(float(cell)) for cell in row]
     parsed = np.array(cells, dtype=float)
     np.testing.assert_array_equal(parsed, np.column_stack(list(expected.values())))
+
+
+def test_csv_text_writes_string_cells_as_given():
+    # a numpy string array drops trailing NULs; a list column is written as given
+    text = csv_text({"x": np.array([1.0, 2.0]), "tag": ["a\x00", "b"]})
+    assert text == "x,tag\n1.0,a\x00\n2.0,b\n"
 
 
 # ------------------------------------------------------------------ JSON
