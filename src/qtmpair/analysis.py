@@ -9,17 +9,16 @@ the tunneling element and the oscillation frequency.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import K_B_OVER_H_GHZ, MU_B_OVER_K_B
 from .model import eigensystem, hamiltonian_stack, moment_expectation, zero_field_values
+from .record import Record
 from .serialize import csv_text, json_text
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(Record):
     """Plot-ready eigenvalue table along one scan axis.
 
     ``axis_values`` is strictly increasing and dimensionless (U/A for the
@@ -29,10 +28,10 @@ class SweepTable:
     of the ground state in Bohr magnetons, field sweep only.
     """
 
-    axis_name: str
-    axis_values: np.ndarray
-    eigenvalues: np.ndarray
-    ground_moments: np.ndarray | None = None
+    __slots__ = ("axis_name", "axis_values", "eigenvalues", "ground_moments")
+
+    def __init__(self, axis_name, axis_values, eigenvalues, ground_moments=None):
+        self._init(axis_name, axis_values, eigenvalues, ground_moments)
 
     def _table(self):
         """Ordered mapping of column name to column, as written to CSV and JSON."""

@@ -25,6 +25,7 @@ from .analysis import (
     tunneling_from_splitting,
     zeeman_threshold,
 )
+from .constants import MAX_PROCESSES
 from .model import (
     BASIS_LABELS,
     ModelParams,
@@ -33,16 +34,6 @@ from .model import (
     evolve,
     hamiltonian_stack,
     moment_expectation,
-)
-from .relaxation import (
-    MAX_PROCESSES,
-    ArrheniusProcess,
-    DegenerateParametersError,
-    RelaxationModel,
-    fit,
-    load_dataset,
-    model_lifetime,
-    synthesize,
 )
 from .serialize import csv_text, json_text
 
@@ -290,6 +281,8 @@ def _cmd_extract(args):
 
 
 def _cmd_fit(args):
+    # only fit and synth import relaxation, so the spectral calls start without it
+    from .relaxation import DegenerateParametersError, fit, load_dataset, model_lifetime
     if args.grid_points < 2:
         raise ValueError(f"--grid-points must be >= 2, got {args.grid_points}")
     try:
@@ -316,13 +309,15 @@ def _cmd_fit(args):
     if args.curve_output is not None:
         temps = data.temperatures()
         grid = np.geomspace(temps.min(), temps.max(), args.grid_points)
-        sample = np.unique(np.concatenate([temps, grid]))
+        sample = np.sort(np.concatenate([temps, grid]))     # np.unique would import numpy.ma
+        sample = sample[np.append(True, sample[1:] != sample[:-1])]
         curve = {"T_K": sample, "tau_s": model_lifetime(result.model, sample)}
         _write_text(args.curve_output, csv_text(curve))
     return result.to_json()
 
 
 def _cmd_synth(args):
+    from .relaxation import ArrheniusProcess, RelaxationModel, synthesize
     if not 0 < args.t_min <= args.t_max < np.inf:
         raise ValueError("need 0 < --t-min <= --t-max, both finite")
     model = RelaxationModel(

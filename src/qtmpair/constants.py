@@ -14,3 +14,5 @@ MU_B_OVER_K_B = 0.671714
 # Boltzmann constant over Planck constant [GHz/K]
 K_B_OVER_H_GHZ = 20.836619
 
+# Largest number of parallel Arrhenius channels in a relaxation model or fit
+MAX_PROCESSES = 4

@@ -14,12 +14,12 @@ magnetons, time in nanoseconds.
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .constants import K_B_OVER_H_GHZ, MU_B_OVER_K_B
+from .record import Record
 
 BASIS_LABELS = ("1", "1bar", "2", "2bar")
 
@@ -40,8 +40,7 @@ _TO_PARITY = ([0, 0, 2, 2], [1, 1, 3, 3], np.array([[-1.0], [1.0], [1.0], [-1.0]
 _FROM_PARITY = ([0, 1, 2, 2], [1, 0, 3, 3], np.array([[1.0], [-1.0], [1.0], [-1.0]]))
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(Record):
     """Physical parameters of one dimer.
 
     Attributes
@@ -61,17 +60,13 @@ class ModelParams:
         states |2>, |2bar> carry +-2*mu_y.
     """
 
-    u: float
-    a: float
-    mu_x: float
-    mu_y: float
+    __slots__ = ("u", "a", "mu_x", "mu_y")
 
-    def __post_init__(self):
-        for name in ("u", "a", "mu_y", "mu_x"):
-            value = getattr(self, name)
+    def __init__(self, u, a, mu_x, mu_y):
+        for name, value in (("u", u), ("a", a), ("mu_y", mu_y), ("mu_x", mu_x)):
             if not math.isfinite(value):
                 raise ValueError(f"model parameter {name} must be finite, got {value}")
-            object.__setattr__(self, name, float(value))
+        self._init(float(u), float(a), float(mu_x), float(mu_y))
         if self.a < 0:
             raise ValueError(f"tunneling element a must be >= 0, got {self.a}")
         for name in ("mu_y", "mu_x"):
@@ -79,14 +74,13 @@ class ModelParams:
                 raise ValueError(f"moment {name} must be positive, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class FieldVector:
+class FieldVector(Record):
     """Applied magnetic field in tesla, in the x-y plane of the pair moments."""
 
-    bx: float = 0.0
-    by: float = 0.0
+    __slots__ = ("bx", "by")
 
-    def __post_init__(self):
+    def __init__(self, bx=0.0, by=0.0):
+        self._init(bx, by)
         if not (math.isfinite(self.bx) and math.isfinite(self.by)):
             raise ValueError(f"field components must be finite, got {self}")
 
@@ -101,8 +95,7 @@ class Moment(NamedTuple):
     my: float
 
 
-@dataclass(frozen=True)
-class EigenSystem:
+class EigenSystem(Record):
     """Sorted spectral decomposition of one or a stack of 4x4 Hamiltonians.
 
     ``values`` (shape ``(..., 4)``) are the eigenvalues in kelvin,
@@ -119,8 +112,10 @@ class EigenSystem:
     state it was projected from.  The output is thus deterministic.
     """
 
-    values: np.ndarray
-    vectors: np.ndarray
+    __slots__ = ("values", "vectors")
+
+    def __init__(self, values, vectors):
+        self._init(values, vectors)
 
 
 def _canonical_signs(vectors):
@@ -277,15 +272,21 @@ def zero_field_values(u, a):
     symmetric combinations mix through the 2x2 block
     [[0, -2A], [-2A, U]], giving the pair (U -+ sqrt(U^2 + 16A^2))/2
     that brackets the spectrum, summed from halves so that it stays finite
-    for any finite U.  Returns shape ``(..., 4)``, ascending.
+    for any finite U.  Returns shape ``(..., 4)``, ascending.  Raises
+    ``ValueError`` where a level exceeds float64.
     """
     u, a = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(a, dtype=float))
-    half_u, half_s = u / 2.0, np.hypot(u, 4.0 * a) / 2.0
+    with np.errstate(over="ignore"):
+        half_u, half_s = u / 2.0, np.hypot(u, 4.0 * a) / 2.0
+        if np.isinf(half_s).any():      # 4 A or the root overflows: the same half from quarters
+            half_s = np.where(np.isinf(half_s), 2.0 * np.hypot(u / 4.0, a), half_s)
+        low, high = half_u - half_s, half_u + half_s
     negative = u < 0
-    return np.stack(
-        [half_u - half_s, np.where(negative, u, 0.0), np.where(negative, 0.0, u), half_u + half_s],
-        axis=-1,
-    )
+    values = np.stack([low, np.where(negative, u, 0.0), np.where(negative, 0.0, u), high], axis=-1)
+    if np.isinf(values).any():
+        i = _first(np.isinf(values).any(axis=-1))
+        raise ValueError(f"zero-field level exceeds float64 at u = {u[i]}, a = {a[i]}")
+    return values
 
 
 def zero_field_eigensystem(params):
@@ -302,14 +303,17 @@ def zero_field_eigensystem(params):
         # diagonal H = (0, 0, U, U): the basis states, lower doublet first
         vectors = np.eye(4) if u >= 0 else np.eye(4)[:, [2, 3, 0, 1]]
     else:
-        lam_lo = values[0]
-        r = np.hypot(2.0 * a, lam_lo)
-        alpha, beta = 2.0 * a / r, -lam_lo / r        # symmetric-block ground state
+        lam_lo, two_a = values[0], 2.0 * a
+        with np.errstate(over="ignore"):
+            r = np.hypot(two_a, lam_lo)
+        if math.isinf(r):                             # halve both: same ratios, finite r
+            lam_lo, two_a, r = lam_lo / 2.0, a, np.hypot(a, lam_lo / 2.0)
+        alpha, beta = two_a / r, -lam_lo / r          # symmetric-block ground state
         q = 1.0 / np.sqrt(2.0)
         ground = [alpha * q, alpha * q, beta * q, beta * q]
         x_pair = [-q, q, 0.0, 0.0]                    # eigenvalue 0
         y_pair = [0.0, 0.0, -q, q]                    # eigenvalue U
-        top = [lam_lo * q / r, lam_lo * q / r, 2.0 * a * q / r, 2.0 * a * q / r]
+        top = [lam_lo * q / r, lam_lo * q / r, two_a * q / r, two_a * q / r]
         middle = [x_pair, y_pair] if u >= 0 else [y_pair, x_pair]
         vectors = np.column_stack([ground, *middle, top])
     return EigenSystem(values=values, vectors=_canonical_signs(vectors))
@@ -368,11 +372,15 @@ def moment_expectation(state, params):
 
 @functools.lru_cache(maxsize=1)
 def _spectrum(data):
-    """Read-only eigenvectors and phase rates of the 4x4 matrix with float64 bytes ``data``."""
+    """Read-only eigenvectors, phase rates and max |rate| of the 4x4 matrix of float64 ``data``."""
     es = eigensystem(np.frombuffer(data).reshape(4, 4))
-    rates = -2j * np.pi * K_B_OVER_H_GHZ * es.values
+    with np.errstate(over="ignore"):
+        rates = -2j * np.pi * K_B_OVER_H_GHZ * es.values
+    if not np.isfinite(rates).all():
+        i = _first(~np.isfinite(rates))
+        raise ValueError(f"phase rate of level {i} ({es.values[i]} K) exceeds float64")
     es.vectors.flags.writeable = rates.flags.writeable = False
-    return es.vectors, rates
+    return es.vectors, rates, float(np.abs(rates.imag).max())
 
 
 def evolve(initial, h, t_ns):
@@ -385,6 +393,7 @@ def evolve(initial, h, t_ns):
     entries.  ``t_ns`` is a finite scalar, giving a state of shape ``(4,)``,
     or an array of finite times, giving one state per time (shape
     ``(..., 4)``).  The norm is preserved and the map is reversible (t -> -t).
+    Raises ``ValueError`` where a phase rate or a phase exceeds float64.
     """
     initial, _ = _check_normalized(initial)
     if initial.shape != (4,) or np.shape(h) != (4, 4):
@@ -393,8 +402,15 @@ def evolve(initial, h, t_ns):
             f"got shapes {initial.shape} and {np.shape(h)}"
         )
     t = np.asarray(t_ns, dtype=float)
-    if not (math.isfinite(t) if t.ndim == 0 else np.isfinite(t).all()):     # a 0-d .all() is slow
-        i = _first(~np.isfinite(t))
-        raise ValueError(f"time must be finite, got {t[i]}" + (f" at index {i}" if t.ndim else ""))
-    vectors, rates = _spectrum(np.asarray(h, dtype=float).tobytes())
+    vectors, rates, top = _spectrum(np.asarray(h, dtype=float).tobytes())
+    # each phase is one rounded product rate * t, so all are finite when top * max|t| is;
+    # a NaN or infinite time fails this too (a 0-d .max() is slow)
+    if not math.isfinite(top * (float(t) if t.ndim == 0 else float(np.abs(t).max(initial=0.0)))):
+        finite = np.isfinite(t)
+        with np.errstate(over="ignore"):
+            i = _first(~finite if not finite.all() else ~np.isfinite(top * t))
+        at = f" at index {i}" if t.ndim else ""
+        if not finite.all():
+            raise ValueError(f"time must be finite, got {t[i]}{at}")
+        raise ValueError(f"phase exceeds float64 at t = {t[i]} ns{at}")
     return ((vectors.T @ initial) * np.exp(rates * t[..., None])) @ vectors.T

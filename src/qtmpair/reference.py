@@ -8,19 +8,21 @@ quantities; the underlying doublet splittings U come from equilibrium
 magnetization measurements and are treated as user input elsewhere.
 """
 
-from dataclasses import dataclass
-
+from .record import Record
 from .relaxation import ArrheniusProcess, RelaxationModel
 
 
-@dataclass(frozen=True)
-class MoleculeReference:
-    name: str
-    relaxation: RelaxationModel     # process I (tunneling) and II (activated)
-    threshold_field_t: float        # B_Zt = U / (2 mu_y), tesla
-    reported_frequency_ghz: float   # published ground-gap frequency
-    reported_tunneling_k: float     # quarter-rule tunneling element, kelvin
-    splitting_ratio: float          # published U/A
+class MoleculeReference(Record):
+    """Published values: ``relaxation`` holds process I (tunneling) and II (activated),
+    ``threshold_field_t`` is B_Zt = U / (2 mu_y) in tesla, ``splitting_ratio`` is U/A."""
+
+    __slots__ = ("name", "relaxation", "threshold_field_t", "reported_frequency_ghz",
+                 "reported_tunneling_k", "splitting_ratio")
+
+    def __init__(self, name, relaxation, threshold_field_t, reported_frequency_ghz,
+                 reported_tunneling_k, splitting_ratio):
+        self._init(name, relaxation, threshold_field_t, reported_frequency_ghz,
+                   reported_tunneling_k, splitting_ratio)
 
 
 DY2S_C82 = MoleculeReference(

@@ -15,13 +15,13 @@ measurements, with a damped Gauss-Newton iteration.
 import csv
 import io
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import MAX_PROCESSES
+from .record import Record
 from .serialize import csv_text, fmt, json_text
 
-MAX_PROCESSES = 4
 MAX_ITERATIONS = 500
 OBJECTIVE_RTOL = 1e-12
 STEP_TOL = 1e-10
@@ -39,42 +39,37 @@ class DegenerateParametersError(RuntimeError):
         self.parameter_pair = parameter_pair
 
 
-@dataclass(frozen=True)
-class ArrheniusProcess:
+class ArrheniusProcess(Record):
     """One activated decay channel: lifetime tau0 * exp(delta / T).
 
     tau0 in seconds (> 0), barrier delta = Delta_eff/k_B in kelvin (>= 0).
     """
 
-    tau0: float
-    delta: float
+    __slots__ = ("tau0", "delta")
 
-    def __post_init__(self):
+    def __init__(self, tau0, delta):
+        self._init(tau0, delta)
         if not (math.isfinite(self.tau0) and self.tau0 > 0):
             raise ValueError(f"prefactor tau0 must be positive and finite, got {self.tau0}")
         if not (math.isfinite(self.delta) and self.delta >= 0):
             raise ValueError(f"barrier delta must be >= 0 and finite, got {self.delta}")
 
 
-@dataclass(frozen=True)
-class RelaxationModel:
+class RelaxationModel(Record):
     """Parallel combination of 1 to 4 Arrhenius channels, sorted by barrier."""
 
-    processes: tuple
+    __slots__ = ("processes",)
 
-    def __post_init__(self):
-        procs = tuple(self.processes)
+    def __init__(self, processes):
+        procs = tuple(processes)
         if not 1 <= len(procs) <= MAX_PROCESSES:
             raise ValueError(f"need 1..{MAX_PROCESSES} processes, got {len(procs)}")
         if any(not isinstance(p, ArrheniusProcess) for p in procs):
             raise TypeError("processes must be ArrheniusProcess instances")
-        object.__setattr__(
-            self, "processes", tuple(sorted(procs, key=lambda p: (p.delta, p.tau0)))
-        )
+        self._init(tuple(sorted(procs, key=lambda p: (p.delta, p.tau0))))
 
 
-@dataclass(frozen=True)
-class LifetimePoint:
+class LifetimePoint(Record):
     """One (temperature, lifetime) observation.
 
     ``sigma_ln_tau`` is the optional one-sigma uncertainty of ln(tau);
@@ -83,12 +78,10 @@ class LifetimePoint:
     comma, double quote, line break or NUL and no leading or trailing space.
     """
 
-    t_kelvin: float
-    tau_s: float
-    sigma_ln_tau: float | None = None
-    mode: str = ""
+    __slots__ = ("t_kelvin", "tau_s", "sigma_ln_tau", "mode")
 
-    def __post_init__(self):
+    def __init__(self, t_kelvin, tau_s, sigma_ln_tau=None, mode=""):
+        self._init(t_kelvin, tau_s, sigma_ln_tau, mode)
         if not (math.isfinite(self.t_kelvin) and self.t_kelvin > 0):
             raise ValueError(f"temperature must be positive, got {self.t_kelvin}")
         if not (math.isfinite(self.tau_s) and self.tau_s > 0):
@@ -102,19 +95,18 @@ class LifetimePoint:
             raise ValueError(f"mode tag {mode!r} cannot be written to CSV unchanged")
 
 
-@dataclass(frozen=True)
-class RelaxationDataset:
+class RelaxationDataset(Record):
     """Collection of lifetime observations."""
 
-    points: tuple
+    __slots__ = ("points",)
 
-    def __post_init__(self):
-        pts = tuple(self.points)
+    def __init__(self, points):
+        pts = tuple(points)
         if not pts:
             raise ValueError("dataset must contain at least one point")
         if any(not isinstance(p, LifetimePoint) for p in pts):
             raise TypeError("points must be LifetimePoint instances")
-        object.__setattr__(self, "points", pts)
+        self._init(pts)
 
     def temperatures(self):
         return np.array([p.t_kelvin for p in self.points])
@@ -182,8 +174,7 @@ def load_dataset(path):
         return parse_dataset_csv(handle.read())
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """Fitted model plus uncertainty information.
 
     ``std_errors`` and ``covariance`` refer to the fit parameters in the
@@ -193,13 +184,13 @@ class FitResult:
     accepted step (diagnostics; not serialized).
     """
 
-    model: RelaxationModel
-    std_errors: np.ndarray
-    residual_rms: float
-    covariance: np.ndarray
-    converged: bool
-    iterations: int
-    objective_trace: tuple = field(default=(), repr=False)
+    __slots__ = ("model", "std_errors", "residual_rms", "covariance", "converged", "iterations",
+                 "objective_trace")
+
+    def __init__(self, model, std_errors, residual_rms, covariance, converged, iterations,
+                 objective_trace=()):
+        self._init(model, std_errors, residual_rms, covariance, converged, iterations,
+                   objective_trace)
 
     def to_json(self):
         return json_text({

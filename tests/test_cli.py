@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import pytest
 from qtmpair.cli import main
 from qtmpair.relaxation import parse_dataset_csv
 
+ROOT = Path(__file__).resolve().parents[1]
 SUBCOMMANDS = ("spectrum-ua", "spectrum-field", "eigen", "extract", "fit", "synth", "evolve")
 
 
@@ -348,6 +353,12 @@ SPECTRAL_OVERFLOW = [
     ("spectrum-ua --min -1e308 --max 0 --points 3", 0, "\n-1e+308,-1e+308,-1e+308,0.0,0.0\n"),
     ("spectrum-ua --min -1e308 --max 1e308 --points 3", 2,
      "error: ratio range -1e+308 to 1e+308 exceeds float64"),
+    ("evolve --u 1e307 --a 1 --mu-y 1 --t-max 1 --points 3", 2,
+     "error: phase rate of level 2 (9.999999999999999e+306 K) exceeds float64"),
+    ("evolve --u 10 --a 1 --mu-y 10 --t-max 1e306 --points 3", 2,
+     "error: phase exceeds float64 at t = 5e+305 ns at index 1"),
+    ("evolve --u 10 --a 1 --mu-y 10 --t-max 1e304 --points 3", 0,
+     "\n1e+304,0.296995403758994,0.7024775337757091,"),
 ]
 
 
@@ -387,6 +398,27 @@ def test_extract_overflow_is_rejected_or_finite(capsys, argv, code, expected):
     else:
         out = run_ok(capsys, argv.split())
         assert expected in out and "Infinity" not in out and "NaN" not in out
+
+
+def test_fit_curve_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma on first use, 14-20 ms of a CLI call
+    data, curve = tmp_path / "ds.csv", tmp_path / "curve.csv"
+    temps = np.geomspace(0.5, 20.0, 12)
+    rows = (f"{t!r},{math.exp(5.0 / t + 0.01 * (-1) ** k)!r}\n"
+            for k, t in enumerate(temps.tolist()))
+    data.write_text("T_K,tau_s\n" + "".join(rows))
+    probe = (
+        "import sys; from qtmpair.cli import main; "
+        f"code = main(['fit', '--input', {str(data)!r}, '--processes', '1', "
+        f"'--curve-output', {str(curve)!r}]); "
+        "print(code, 'numpy.ma' in sys.modules, 'qtmpair.relaxation' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 False True"
+    sample = np.loadtxt(curve, delimiter=",", skiprows=1)[:, 0]
+    grid = np.geomspace(temps.min(), temps.max(), 200)
+    np.testing.assert_array_equal(sample, np.unique(np.concatenate([temps, grid])))
 
 
 # ----------------------------------------------------------- determinism

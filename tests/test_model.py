@@ -57,6 +57,29 @@ def cluster_indices(values, gap=1e-3):
 
 # ---------------------------------------------------------------- builder
 
+@pytest.mark.parametrize("u", [1.0, -1.0, 1e300, -1e300])
+@pytest.mark.parametrize("a", [5e307, 8e307, 8.9e307])
+def test_zero_field_closed_form_is_finite_where_the_levels_fit(u, a):
+    # 4 A overflows here: the levels were -inf and inf, with a warning
+    es = zero_field_eigensystem(ModelParams(u=u, a=a, mu_x=1.0, mu_y=1.0))
+    gap = float(np.hypot(u / 4.0, a)) * 2.0             # half of sqrt(U^2 + 16 A^2)
+    np.testing.assert_allclose(es.values[[0, 3]], [u / 2.0 - gap, u / 2.0 + gap], rtol=1e-15)
+    np.testing.assert_allclose(es.vectors.T @ es.vectors, np.eye(4), atol=1e-15)
+    # H v = lambda v, both sides scaled by 1/A
+    h = hamiltonian_stack(ModelParams(u=u / a, a=1.0, mu_x=1.0, mu_y=1.0))
+    np.testing.assert_allclose(h @ es.vectors, es.vectors * (es.values / a), atol=1e-14)
+
+
+def test_zero_field_levels_beyond_float64_are_rejected_naming_a():
+    message = r"^zero-field level exceeds float64 at u = 1.0, a = 1e\+308$"
+    with pytest.raises(ValueError, match=message):
+        zero_field_eigensystem(ModelParams(u=1.0, a=1e308, mu_x=1.0, mu_y=1.0))
+    with pytest.raises(ValueError, match=r"at u = -1.7e\+308, a = 5e\+307$"):
+        model.zero_field_values([-1.7e308, -1.7e308], [1e300, 5e307])
+    with pytest.raises(ValueError, match=r"at u = 1.7e\+308, a = 5e\+307$"):    # index (1, 1)
+        model.zero_field_values(np.array([[1.0], [1.7e308]]), [1.0, 5e307])
+
+
 def test_zero_field_matrix_structure():
     h = build_hamiltonian(P10)
     expected = np.array(
@@ -716,6 +739,36 @@ def test_evolve_rejects_nonfinite_times():
         evolve(basis_state("1"), h, [0.0, 1.0, 2.0, np.nan, np.inf])
     with pytest.raises(ValueError, match=re.escape("got -inf at index (1, 0)")):
         evolve(basis_state("1"), h, [[0.0, 1.0], [-np.inf, 2.0]])
+
+
+def test_evolve_rejects_phases_beyond_float64():
+    # each of these printed numpy overflow warnings, then "state 0 is not normalized (nan)"
+    h_top = hamiltonian_stack(ModelParams(u=1e307, a=1.0, mu_x=1.0, mu_y=1.0))
+    with pytest.raises(ValueError, match=re.escape(
+            "phase rate of level 2 (9.999999999999999e+306 K) exceeds float64")):
+        evolve(basis_state("1"), h_top, 0.0)
+    h = build_hamiltonian(P10, FieldVector(by=0.2))
+    with pytest.raises(ValueError, match=r"^phase exceeds float64 at t = -1e\+306 ns$"):
+        evolve(basis_state("1"), h, -1e306)
+    with pytest.raises(ValueError, match=re.escape("at t = 1e+306 ns at index (1, 0)")):
+        evolve(basis_state("1"), h, [[0.0, 1e300], [1e306, 1e306]])
+    for t in (np.nan, -np.inf, [1.0, np.inf]):      # with every level 0, max|rate| * t is NaN
+        with pytest.raises(ValueError, match="^time must be finite, got "):
+            evolve(basis_state("1"), np.zeros((4, 4)), t)
+    # at the edge, every accepted time gives the phases of the unchecked form
+    top = 2.0 * np.pi * K_B_OVER_H_GHZ * np.abs(eigensystem(h).values).max()
+    edge = np.finfo(float).max / top
+    times = np.nextafter(edge, np.inf) + np.arange(-8, 9) * np.spacing(edge)
+    for t in times:
+        try:
+            state = evolve(basis_state("2"), h, t)
+        except ValueError as err:
+            assert str(err).startswith("phase exceeds float64")
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert not np.isfinite(memo_free_evolve(basis_state("2"), h, t)).all()
+        else:
+            np.testing.assert_array_equal(state, memo_free_evolve(basis_state("2"), h, t))
+            assert np.isfinite(state).all()
 
 
 PARAMS = st.builds(

@@ -33,6 +33,17 @@ def test_cli_import_leaves_the_reference_data_out():
     assert proc.stdout == "False\n"
 
 
+def test_cli_import_leaves_what_only_fit_and_synth_use_out():
+    # a spectral call paid for these on every start: dataclasses for the records,
+    # relaxation (and csv with it) for two of the seven subcommands
+    probe = ("import sys, qtmpair.cli; "
+             "print([m for m in ('dataclasses', 'qtmpair.relaxation', 'csv') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout == "[]\n"
+
+
 def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")     # Python 3.11 and later
     with open(ROOT / "pyproject.toml", "rb") as handle:
