@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from .constants import K_B_OVER_H_GHZ, MU_B_OVER_K_B
-from .model import eigensystem, hamiltonian_stack, moment_expectation, zero_field_values
+from .model import eigensystem, hamiltonian_stack, moment_expectation
+from .model import zero_field_gap, zero_field_values
 from .record import Record
 from .serialize import csv_text, json_text
 
@@ -113,24 +114,13 @@ def zeeman_threshold(params):
 
 
 def ground_splitting(params):
-    """Gap between the two lowest zero-field levels, in kelvin.
+    """Gap between the two lowest zero-field levels in kelvin, :func:`model.zero_field_gap`.
 
-    Equals (sqrt(U^2 + 16 A^2) - |U|) / 2; the tunneling element lifts
-    the ground doublet degeneracy by this amount.  Evaluated in the
-    rationalized form 8 A^2 / (sqrt(U^2 + 16 A^2) + |U|), which avoids
-    cancellation deep in the protected regime U >> A.  Raises ``ValueError``
-    if the gap exceeds float64.
+    The tunneling element lifts the ground doublet by it.  Raises ``ValueError`` beyond float64.
     """
-    u, a = abs(params.u), params.a
-    if a == 0.0:
-        return 0.0
-    numerator = 8.0 * a**2 if a < 1e154 else math.inf     # float ** raises on overflow
-    denominator = float(np.hypot(u, 4.0 * a)) + u           # D; float + gives inf silently
-    if math.isfinite(numerator) and math.isfinite(denominator):
-        return numerator / denominator
-    delta = a * (a / float(np.hypot(u / 8.0, a / 2.0) + u / 8.0))    # A * A / (D / 8)
+    delta = float(zero_field_gap(params.u, params.a))
     if not math.isfinite(delta):
-        raise ValueError(f"ground splitting exceeds float64 at u = {params.u}, a = {a}")
+        raise ValueError(f"ground splitting exceeds float64 at u = {params.u}, a = {params.a}")
     return delta
 
 

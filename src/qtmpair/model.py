@@ -264,25 +264,38 @@ def _pin_clusters(values, parity_vectors, vectors, close):
         vectors[:, lo:hi] = np.column_stack(basis)
 
 
+def zero_field_gap(u, a):
+    """Zero-field ground gap (sqrt(U^2 + 16 A^2) - |U|) / 2 for broadcastable ``u``, ``a``.
+
+    8 A^2 / D, D = hypot(U, 4A) + |U|, has no cancellation for |U| >> A; where it overflows or
+    8 A^2 underflows, A * A / (D / 8) with the ratio capped at 2.  0 at A = 0, inf beyond float64.
+    """
+    u, a = np.abs(np.asarray(u, dtype=float)), np.abs(np.asarray(a, dtype=float))
+    with np.errstate(all="ignore"):
+        eight_a2, d = 8.0 * np.float_power(a, 2.0), np.hypot(u, 4.0 * a) + u
+        gap = eight_a2 / d
+        redo = ~((eight_a2 >= np.finfo(float).tiny) & (np.maximum(eight_a2, d) < np.inf))
+        if redo.any():
+            ratio = np.minimum(a / (np.hypot(u / 8.0, a / 2.0) + u / 8.0), 2.0)
+            gap = np.where(redo, np.where(a == 0.0, 0.0, a * ratio), gap)
+    return gap
+
+
 def zero_field_values(u, a):
     """Closed-form zero-field eigenvalues for broadcastable ``u`` and ``a``.
 
     The antisymmetric combinations (|1> - |1bar>)/sqrt(2) and
     (|2> - |2bar>)/sqrt(2) are exact eigenstates at 0 and U.  The
-    symmetric combinations mix through the 2x2 block
-    [[0, -2A], [-2A, U]], giving the pair (U -+ sqrt(U^2 + 16A^2))/2
-    that brackets the spectrum, summed from halves so that it stays finite
-    for any finite U.  Returns shape ``(..., 4)``, ascending.  Raises
+    symmetric combinations mix through the 2x2 block [[0, -2A], [-2A, U]],
+    whose levels min(0, U) - gap and max(0, U) + gap (:func:`zero_field_gap`)
+    bracket the spectrum.  Returns shape ``(..., 4)``, ascending.  Raises
     ``ValueError`` where a level exceeds float64.
     """
     u, a = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(a, dtype=float))
+    gap, negative = zero_field_gap(u, a), u < 0
+    low, high = np.where(negative, u, 0.0), np.where(negative, 0.0, u)
     with np.errstate(over="ignore"):
-        half_u, half_s = u / 2.0, np.hypot(u, 4.0 * a) / 2.0
-        if np.isinf(half_s).any():      # 4 A or the root overflows: the same half from quarters
-            half_s = np.where(np.isinf(half_s), 2.0 * np.hypot(u / 4.0, a), half_s)
-        low, high = half_u - half_s, half_u + half_s
-    negative = u < 0
-    values = np.stack([low, np.where(negative, u, 0.0), np.where(negative, 0.0, u), high], axis=-1)
+        values = np.stack([low - gap, low, high, high + gap], axis=-1)
     if np.isinf(values).any():
         i = _first(np.isinf(values).any(axis=-1))
         raise ValueError(f"zero-field level exceeds float64 at u = {u[i]}, a = {a[i]}")
@@ -303,17 +316,14 @@ def zero_field_eigensystem(params):
         # diagonal H = (0, 0, U, U): the basis states, lower doublet first
         vectors = np.eye(4) if u >= 0 else np.eye(4)[:, [2, 3, 0, 1]]
     else:
-        lam_lo, two_a = values[0], 2.0 * a
-        with np.errstate(over="ignore"):
-            r = np.hypot(two_a, lam_lo)
-        if math.isinf(r):                             # halve both: same ratios, finite r
-            lam_lo, two_a, r = lam_lo / 2.0, a, np.hypot(a, lam_lo / 2.0)
-        alpha, beta = two_a / r, -lam_lo / r          # symmetric-block ground state
+        half_lo = values[0] / 2.0 if u else -a     # halved with 2A; at U = 0 amplitudes tie
+        r = np.hypot(a, half_lo)
+        alpha, beta = a / r, -half_lo / r             # symmetric-block ground state
         q = 1.0 / np.sqrt(2.0)
         ground = [alpha * q, alpha * q, beta * q, beta * q]
         x_pair = [-q, q, 0.0, 0.0]                    # eigenvalue 0
         y_pair = [0.0, 0.0, -q, q]                    # eigenvalue U
-        top = [lam_lo * q / r, lam_lo * q / r, two_a * q / r, two_a * q / r]
+        top = [half_lo * q / r, half_lo * q / r, a * q / r, a * q / r]
         middle = [x_pair, y_pair] if u >= 0 else [y_pair, x_pair]
         vectors = np.column_stack([ground, *middle, top])
     return EigenSystem(values=values, vectors=_canonical_signs(vectors))

@@ -169,8 +169,8 @@ def _cell_value(record, column, number):
 
 
 def load_dataset(path):
-    """Read a dataset CSV file."""
-    with open(path, encoding="utf-8") as handle:
+    """Read a dataset CSV file, UTF-8 with or without a byte-order mark."""
+    with open(path, encoding="utf-8-sig") as handle:
         return parse_dataset_csv(handle.read())
 
 

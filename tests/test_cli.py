@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qtmpair.cli import main
-from qtmpair.relaxation import parse_dataset_csv
+from qtmpair.relaxation import load_dataset, parse_dataset_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 SUBCOMMANDS = ("spectrum-ua", "spectrum-field", "eigen", "extract", "fit", "synth", "evolve")
@@ -190,6 +190,23 @@ def test_fit_round_trip(capsys, tmp_path):
     assert len(lines) >= 201
 
 
+def test_fit_reads_a_dataset_with_a_byte_order_mark(capsys, tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with U+FEFF; the header check rejected it
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    run_ok(capsys, ["synth", "--process", "4.0e2", "0.34", "--process", "2.1e-3", "16.1",
+                    "--t-min", "0.4", "--t-max", "30", "--points", "30",
+                    "--noise", "0.05", "--seed", "3", "--output", str(plain)])
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_dataset(marked) == load_dataset(plain)
+    reports = []
+    for path in (plain, marked):
+        curve = tmp_path / f"{path.stem}-curve.csv"
+        out = run_ok(capsys, ["fit", "--input", str(path), "--processes", "2",
+                              "--curve-output", str(curve)])
+        reports.append((out, curve.read_bytes()))
+    assert reports[0] == reports[1]
+
+
 def test_fit_degenerate_is_domain_error(capsys, tmp_path):
     data = tmp_path / "single.csv"
     run_ok(capsys, ["synth", "--process", "2.1e-3", "16.1", "--t-min", "0.4",
@@ -347,10 +364,11 @@ SPECTRAL_OVERFLOW = [
     ("evolve --u 1 --a 5e307 --mu-y 1 --t-max 1 --points 3", 2,
      "error: Hamiltonian entry 5e+307 exceeds"),
     ("eigen --u 1e308 --a 1e308 --mu-y 1", 2, "error: Hamiltonian entry 1e+308 exceeds"),
-    ("spectrum-ua --min 0 --max 1e308 --points 3", 0, "\n1e+308,0.0,0.0,1e+308,1e+308\n"),
+    ("spectrum-ua --min 0 --max 1e308 --points 3", 0, "\n1e+308,-4e-308,0.0,1e+308,1e+308\n"),
     ("spectrum-ua --min 0 --max 1e308 --points 3 --format json", 0,
      '"lambda4": [\n    2.0,\n    5e+307,\n    1e+308\n  ]'),
-    ("spectrum-ua --min -1e308 --max 0 --points 3", 0, "\n-1e+308,-1e+308,-1e+308,0.0,0.0\n"),
+    ("spectrum-ua --min -1e308 --max 0 --points 3", 0,
+     "\n-1e+308,-1e+308,-1e+308,0.0,4e-308\n"),
     ("spectrum-ua --min -1e308 --max 1e308 --points 3", 2,
      "error: ratio range -1e+308 to 1e+308 exceeds float64"),
     ("evolve --u 1e307 --a 1 --mu-y 1 --t-max 1 --points 3", 2,

@@ -452,6 +452,16 @@ def test_closed_form_degenerate_doublets_at_zero_u():
     np.testing.assert_allclose(cf.values, [-2.0, 0.0, 0.0, 2.0], atol=1e-15)
 
 
+def test_closed_form_at_zero_u_keeps_the_tie_and_the_numeric_signs():
+    # at U = 0, -gap/2 = -8A^2/(8A) is -A only to rounding; the block amplitudes tie
+    # exactly, so the top vector takes the sign eigensystem gives it (first tied entry > 0)
+    for a in (0.44938603499563756, 0.04496948456813588, 915.3175978600394):
+        params = ModelParams(u=0.0, a=a, mu_x=1.0, mu_y=1.0)
+        cf, numeric = zero_field_eigensystem(params), eigensystem(hamiltonian_stack(params))
+        np.testing.assert_allclose(cf.vectors, numeric.vectors, rtol=0.0, atol=1e-15)
+        assert cf.vectors[0, 3] == -cf.vectors[2, 3] > 0
+
+
 def test_closed_form_negative_u_sorted():
     cf = zero_field_eigensystem(ModelParams(u=-10.0, a=1.0, mu_x=10.0, mu_y=10.0))
     assert np.all(np.diff(cf.values) >= 0)
@@ -481,6 +491,66 @@ def test_asymptotic_splitting_limit():
         cf = zero_field_eigensystem(params)
         gap = cf.values[1] - cf.values[0]
         assert abs(gap - 4.0 / ratio) <= 0.01 * (4.0 / ratio)
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("a", [1.0, 0.37, 2.5e3])
+def test_zero_field_levels_obey_vieta_deep_in_the_protected_regime(a):
+    # the symmetric block [[0, -2A], [-2A, U]] has level product -4A^2 and sum U;
+    # the subtracted form U/2 - hypot(U, 4A)/2 loses lambda1 here (0.0 from U/A = 1e12)
+    ratios = np.logspace(-3, 15, 361)
+    u = np.concatenate([ratios, -ratios]) * a
+    values = model.zero_field_values(u, a)
+    lo, hi = values[:, 0], values[:, 3]
+    np.testing.assert_allclose(lo * hi, -4.0 * a * a, rtol=4 * EPS, atol=0.0)
+    assert (np.abs(lo + hi - u) <= 4 * EPS * np.maximum(np.abs(lo), np.abs(hi))).all()
+
+
+def test_ground_level_at_the_published_tb2scn_ratio():
+    # U/A = 190 (Tb2ScN@C80); the subtracted form was 1,073 ulp off
+    lam1 = model.zero_field_values(190.0, 1.0)[0]
+    expected = -8.0 / (math.hypot(190.0, 4.0) + 190.0)
+    assert abs(lam1 - expected) <= math.ulp(expected)
+    assert abs(lam1 - -0.021050299394186397) <= math.ulp(expected)    # 60-digit reference
+
+
+@pytest.mark.parametrize("ratio", [1e8, 1e12])
+def test_zero_field_ground_vector_resolves_the_small_amplitude(ratio):
+    # beta / alpha = -lambda1 / (2A) = gap / (2A); it was 7 % off at 1e8 and 0 at 1e12
+    ground = zero_field_eigensystem(ModelParams(u=ratio, a=1.0, mu_x=1.0, mu_y=1.0)).vectors[:, 0]
+    gap = 8.0 / (math.hypot(ratio, 4.0) + ratio)
+    np.testing.assert_allclose(ground[2] / ground[0], gap / 2.0, rtol=1e-14)
+
+
+def test_zero_field_gap_edges():
+    assert model.zero_field_gap(0.0, 0.0) == 0.0 and model.zero_field_gap(-3.0, 0.0) == 0.0
+    assert model.zero_field_gap(0.0, 5e-324) == 1e-323          # 2A, where D / 8 underflows
+    assert model.zero_field_gap(-1e308, 1.0) == 4e-308          # D overflows: 4A^2 / |U|
+    assert model.zero_field_gap(1.0, 1e308) == np.inf           # no warning
+    assert model.zero_field_gap([[1.0], [-1.0]], [0.0, 2.0]).shape == (2, 2)
+
+
+WIDE_PARAMS = st.builds(
+    ModelParams,
+    u=st.one_of(st.just(0.0), st.floats(-1e4, 1e4)),
+    a=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+    mu_x=st.floats(0.1, 20.0),
+    mu_y=st.floats(0.1, 20.0),
+)
+WIDE_FIELD = st.one_of(st.just(0.0), st.floats(-50.0, 50.0))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(WIDE_PARAMS, WIDE_FIELD, WIDE_FIELD)
+def test_levels_sum_to_twice_u(params, bx, by):
+    """The trace of H is 2U at every field, so the four levels sum to 2U."""
+    h = hamiltonian_stack(params, bx, by)
+    total = eigensystem(h).values.sum(-1)
+    assert abs(total - 2.0 * params.u) <= 16 * EPS * np.abs(h).max()
+    zero = model.zero_field_values(params.u, params.a)
+    assert abs(zero.sum() - 2.0 * params.u) <= 4 * EPS * np.abs(zero).max()
 
 
 # --------------------------------------------------------------- moments
