@@ -63,8 +63,7 @@ def sweep_ratio(ratio_min, ratio_max, n_points):
         raise ValueError(f"need finite ratio_min < ratio_max, got {ratio_min} and {ratio_max}")
     if not math.isfinite(float(ratio_max) - float(ratio_min)):
         raise ValueError(f"ratio range {ratio_min} to {ratio_max} exceeds float64")
-    _check_points(n_points)
-    ratios = np.linspace(ratio_min, ratio_max, n_points)
+    ratios = _grid(ratio_min, ratio_max, n_points)
     return SweepTable(
         axis_name="U/A", axis_values=ratios, eigenvalues=zero_field_values(ratios, 1.0)
     )
@@ -81,11 +80,12 @@ def sweep_field(params, max_field_ratio, n_points):
     """
     if not 0.0 < max_field_ratio < np.inf:
         raise ValueError(f"max_field_ratio must be positive and finite, got {max_field_ratio}")
-    _check_points(n_points)
+    fractions = _grid(0.0, max_field_ratio, n_points)
     b_zt = zeeman_threshold(params)
     if b_zt == 0.0:
         raise ValueError("field scale B_Zt vanishes for u = 0; field sweep is undefined")
-    fractions = np.linspace(0.0, max_field_ratio, n_points)
+    if not math.isfinite(float(max_field_ratio) * b_zt):    # then every fraction * b_zt is
+        raise ValueError(f"sweep end {max_field_ratio} * B_Zt = {b_zt} T exceeds float64")
     es = eigensystem(hamiltonian_stack(params, by=fractions * b_zt))
     ground = moment_expectation(es.vectors[..., 0], params)
     return SweepTable(
@@ -96,9 +96,12 @@ def sweep_field(params, max_field_ratio, n_points):
     )
 
 
-def _check_points(n_points):
+def _grid(start, stop, n_points):
+    """``n_points`` uniform points from ``start`` to ``stop``, which must be finite."""
     if not (isinstance(n_points, (int, np.integer)) and n_points >= 2):
         raise ValueError(f"n_points must be an integer >= 2, got {n_points}")
+    with np.errstate(over="ignore"):    # (n - 1) * step may round past float64; the end is stop
+        return np.linspace(start, stop, n_points)
 
 
 def zeeman_threshold(params):

@@ -323,7 +323,8 @@ def _cmd_synth(args):
     model = RelaxationModel(
         processes=tuple(ArrheniusProcess(tau0=p[0], delta=p[1]) for p in args.process)
     )
-    temps = np.geomspace(args.t_min, args.t_max, args.points)
+    with np.errstate(over="ignore"):    # a last point rounded past float64 is set to --t-max
+        temps = np.geomspace(args.t_min, args.t_max, args.points)
     return synthesize(model, temps, noise_sigma=args.noise, seed=args.seed).to_csv()
 
 
@@ -333,7 +334,8 @@ def _cmd_evolve(args):
     if not 0 < args.t_max < np.inf:
         raise ValueError("--t-max must be > 0 and finite (nanoseconds)")
     params = _model_params(args)
-    times = np.linspace(0.0, args.t_max, args.points)
+    with np.errstate(over="ignore"):    # a last point rounded past float64 is set to --t-max
+        times = np.linspace(0.0, args.t_max, args.points)
     states = evolve(basis_state(args.initial), hamiltonian_stack(params, args.bx, args.by), times)
     moments = moment_expectation(states, params)
     populations = zip((f"p{label}" for label in BASIS_LABELS), (np.abs(states) ** 2).T)

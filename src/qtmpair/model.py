@@ -53,11 +53,11 @@ class ModelParams(Record):
         Single-flip tunneling matrix element A (kelvin), stored >= 0;
         the spectrum depends only on A**2.
     mu_x : float
-        Pseudospin-pair moment along x (Bohr magnetons), > 0.  Basis
-        states |1>, |1bar> carry +-2*mu_x.
+        Pseudospin-pair moment along x (Bohr magnetons), in (0, MAX_ENTRY].
+        Basis states |1>, |1bar> carry +-2*mu_x.
     mu_y : float
-        Pseudospin-pair moment along y (Bohr magnetons), > 0.  Basis
-        states |2>, |2bar> carry +-2*mu_y.
+        Pseudospin-pair moment along y (Bohr magnetons), in (0, MAX_ENTRY].
+        Basis states |2>, |2bar> carry +-2*mu_y.
     """
 
     __slots__ = ("u", "a", "mu_x", "mu_y")
@@ -70,8 +70,10 @@ class ModelParams(Record):
         if self.a < 0:
             raise ValueError(f"tunneling element a must be >= 0, got {self.a}")
         for name in ("mu_y", "mu_x"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"moment {name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not 0 < value <= MAX_ENTRY:     # so +-2 * mu times a population stays finite
+                rule = "positive" if value <= 0 else f"at most {MAX_ENTRY}"
+                raise ValueError(f"moment {name} must be {rule}, got {value}")
 
 
 class FieldVector(Record):
@@ -83,9 +85,6 @@ class FieldVector(Record):
         self._init(bx, by)
         if not (math.isfinite(self.bx) and math.isfinite(self.by)):
             raise ValueError(f"field components must be finite, got {self}")
-
-
-ZERO_FIELD = FieldVector()
 
 
 class Moment(NamedTuple):
@@ -163,14 +162,13 @@ def hamiltonian_stack(params, bx=0.0, by=0.0):
         h[..., 2, 2] = params.u - e2
         h[..., 3, 3] = params.u + e2
     if not np.isfinite(h).all():
-        bad = ~np.isfinite(h).all(axis=(-2, -1))
-        i = np.unravel_index(np.argmax(bad), bad.shape)
+        i = _first(~np.isfinite(h).all(axis=(-2, -1)))
         bx, by = np.broadcast_arrays(bx, by)
         raise ValueError(f"Zeeman energy is not finite at field bx={bx[i]}, by={by[i]} T")
     return h
 
 
-def build_hamiltonian(params, field=ZERO_FIELD):
+def build_hamiltonian(params, field=FieldVector()):
     """Assemble the 4x4 pair Hamiltonian at one field (see :func:`hamiltonian_stack`).
 
     Parameters

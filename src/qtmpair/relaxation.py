@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from .constants import MAX_PROCESSES
+from .model import _first
 from .record import Record
 from .serialize import csv_text, fmt, json_text
 
@@ -208,17 +209,6 @@ class FitResult(Record):
 
 # ------------------------------------------------------------------ model
 
-def _theta_of(model):
-    theta = []
-    for p in model.processes:
-        theta += [np.log(p.tau0), p.delta]
-    return np.array(theta)
-
-
-def _parameter_names(n_processes):
-    return [f"{kind}_{i + 1}" for i in range(n_processes) for kind in ("ln_tau0", "delta")]
-
-
 def _evaluate(theta, t):
     """ln tau of the parallel-channel model and d ln tau / d theta.
 
@@ -243,14 +233,12 @@ def model_lifetime(model, t_kelvin):
     709.78) comes back as ``inf``, without a warning.
     """
     t = np.asarray(t_kelvin, dtype=float)
-    grid = t.reshape(-1)
-    bad = np.flatnonzero(~(np.isfinite(grid) & (grid > 0.0)))
-    if bad.size:
-        index = bad[0] if t.ndim < 2 else tuple(int(k) for k in np.unravel_index(bad[0], t.shape))
-        raise ValueError(
-            f"temperatures must be positive and finite, got {grid[bad[0]]} at index {index}"
-        )
-    log_tau = _evaluate(_theta_of(model), grid)[0]
+    bad = ~(np.isfinite(t) & (t > 0.0))
+    if bad.any():
+        i = _first(bad)     # () for a scalar, reported as index 0
+        raise ValueError(f"temperatures must be positive and finite, got {t[i]} at index {i or 0}")
+    theta = np.array([[np.log(p.tau0), p.delta] for p in model.processes]).ravel()
+    log_tau = _evaluate(theta, t.reshape(-1))[0]
     with np.errstate(over="ignore"):
         tau = np.exp(log_tau)
     return float(tau[0]) if t.ndim == 0 else tau.reshape(t.shape)
@@ -268,11 +256,12 @@ def synthesize(model, temperatures, noise_sigma=0.0, seed=0):
         raise ValueError(f"temperatures must hold at least one value, got {temps.size}")
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-    eps = np.random.default_rng(seed).standard_normal(temps.size) * noise_sigma
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps = np.random.default_rng(seed).standard_normal(temps.size) * noise_sigma
         taus = model_lifetime(model, temps) * np.exp(eps)
-    if np.isinf(taus).any():
-        first = temps[np.isinf(taus)][0]
+    bad = ~(taus < np.inf)      # inf, or NaN from a zero lifetime times an infinite factor
+    if bad.any():
+        first = temps[_first(bad)]
         raise ValueError(f"lifetime exceeds float64 (ln tau > 709.78) at T = {first} K")
     points = tuple(
         LifetimePoint(t_kelvin=t, tau_s=tau) for t, tau in zip(temps.tolist(), taus.tolist())
@@ -299,14 +288,7 @@ def _segmented_init(t, ln_tau, n_processes):
     return theta
 
 
-def _sorted_pairs(theta):
-    pairs = sorted((theta[2 * i + 1], theta[2 * i]) for i in range(len(theta) // 2))
-    out = np.empty_like(theta)
-    for i, (delta, ln_tau0) in enumerate(pairs):
-        out[2 * i], out[2 * i + 1] = ln_tau0, delta
-    return out
-
-
+@np.errstate(all="ignore")  # inf and NaN are silent here: the checks below reject them by name
 def fit(data, n_processes):
     """Fit ``n_processes`` parallel Arrhenius channels to a dataset.
 
@@ -335,6 +317,9 @@ def fit(data, n_processes):
     DegenerateParametersError
         If the Gauss-Newton normal matrix is numerically singular, e.g.
         when two channels collapse onto each other.
+    ValueError
+        If a 1/T^2 or weight 1/sigma^2 is 0 or their sums leave float64, or
+        if the start lines, the covariance or a fitted prefactor leave float64.
     """
     if not (isinstance(n_processes, (int, np.integer)) and 1 <= n_processes <= MAX_PROCESSES):
         raise ValueError(f"n_processes must be an integer in 1..{MAX_PROCESSES}, got {n_processes}")
@@ -346,14 +331,23 @@ def fit(data, n_processes):
         )
     t = data.temperatures()
     y = np.log(data.lifetimes())
-    weights = np.array(
-        [1.0 if p.sigma_ln_tau is None else p.sigma_ln_tau**-2 for p in data.points]
-    )
+    sigma = np.array([1.0 if p.sigma_ln_tau is None else p.sigma_ln_tau for p in data.points])
+    # the start lines scale by the sum of 1/T^2, the normal equations by those of w and w/T^2
+    weights, inv_t2 = np.float_power(sigma, -2.0), t**-2.0
+    sums = weights.sum() + inv_t2.sum() + weights @ inv_t2     # finite if each sum is
+    if not (sums < np.inf and weights.all() and inv_t2.all()):
+        i = int(np.argmax(np.abs(np.log(weights * inv_t2))))    # the most extreme point
+        raise ValueError(f"1/T^2 and 1/sigma_ln_tau^2 must be nonzero with sums within float64, "
+                         f"got T = {t[i]} K, sigma_ln_tau = {data.points[i].sigma_ln_tau}")
 
     theta = _segmented_init(t, y, n_processes)
     ln_tau, jac = _evaluate(theta, t)
     residual = y - ln_tau
-    obj = float(np.sum(weights * residual**2))
+    terms = weights * residual**2
+    obj = float(np.sum(terms))
+    if not (math.isfinite(obj) and np.isfinite(jac).all()):
+        i = _first(~np.isfinite(np.column_stack([terms, jac])).all(axis=1))
+        raise ValueError(f"start lines give a residual or slope beyond float64 at T = {t[i]} K")
     trace = [obj]
     damping = 1e-3
     converged = False
@@ -375,7 +369,7 @@ def fit(data, n_processes):
             cand_ln_tau, cand_jac = _evaluate(candidate, t)
             cand_residual = y - cand_ln_tau
             cand_obj = float(np.sum(weights * cand_residual**2))
-            if np.isfinite(cand_obj) and cand_obj <= obj:
+            if np.isfinite(cand_obj) and cand_obj <= obj and np.isfinite(cand_jac).all():
                 change = obj - cand_obj
                 theta, obj, residual, jac = candidate, cand_obj, cand_residual, cand_jac
                 trace.append(obj)
@@ -385,22 +379,19 @@ def fit(data, n_processes):
             damping *= DAMPING_FACTOR
         if not accepted:
             break
-        with np.errstate(over="ignore"):    # a norm beyond float64 is inf: not a small step
-            small_step = np.linalg.norm(step) < STEP_TOL
+        small_step = np.linalg.norm(step) < STEP_TOL
         if change <= OBJECTIVE_RTOL * max(obj, np.finfo(float).tiny) or small_step:
             converged = True
             break
 
-    theta = _sorted_pairs(theta)
-    ln_tau, jac = _evaluate(theta, t)
+    pairs = theta.reshape(-1, 2)    # (ln tau0, delta) rows, by barrier and then ln tau0,
+    pairs = pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))]   # the order of RelaxationModel
+    ln_tau, jac = _evaluate(pairs.ravel(), t)
     residual = y - ln_tau
     covariance, std_errors = _covariance((jac.T * weights) @ jac, residual, weights, n_params)
 
-    model = RelaxationModel(
-        processes=tuple(
-            ArrheniusProcess(tau0=float(np.exp(theta[2 * i])), delta=float(theta[2 * i + 1]))
-            for i in range(n_processes)
-        )
+    model = RelaxationModel(    # ArrheniusProcess rejects a prefactor beyond float64
+        [ArrheniusProcess(float(np.exp(ln_tau0)), float(delta)) for ln_tau0, delta in pairs]
     )
     return FitResult(
         model=model,
@@ -414,7 +405,7 @@ def fit(data, n_processes):
 
 
 def _covariance(normal, residual, weights, n_params):
-    """Invert the normal matrix, scaled by the residual variance."""
+    """Invert the normal matrix, scaled by the residual variance (under the errstate of fit)."""
     if np.linalg.cond(normal) > CONDITION_LIMIT:
         pair = _degenerate_pair(normal, n_params)
         raise DegenerateParametersError(
@@ -426,6 +417,8 @@ def _covariance(normal, residual, weights, n_params):
     s2 = float(np.sum(weights * residual**2)) / dof
     covariance = s2 * np.linalg.inv(normal)
     covariance = (covariance + covariance.T) / 2.0
+    if not np.isfinite(covariance).all():   # the normal matrix scales with w: too small ones
+        raise ValueError(f"covariance exceeds float64 for weights down to {weights.min()}")
     return covariance, np.sqrt(np.maximum(np.diag(covariance), 0.0))
 
 
@@ -436,5 +429,5 @@ def _degenerate_pair(normal, n_params):
     _, vecs = np.linalg.eigh(corr)
     null = np.abs(vecs[:, 0])
     first, second = np.argsort(null)[-2:][::-1]
-    names = _parameter_names(n_params // 2)
+    names = [f"{kind}_{i + 1}" for i in range(n_params // 2) for kind in ("ln_tau0", "delta")]
     return (names[first], names[second])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,17 @@ def test_field_sweep_rows_are_continuous():
 def test_field_sweep_rejects_zero_u():
     with pytest.raises(ValueError):
         sweep_field(ModelParams(u=0.0, a=1.0, mu_x=10.0, mu_y=10.0), 2.0, 11)
+
+
+def test_sweeps_reach_the_float64_edge_without_a_warning():
+    # (n - 1) * step rounded past float64 and warned, although linspace sets the end itself
+    assert sweep_ratio(-1.7976931348623157e308, 0.0, 7).axis_values[-1] == 0.0
+    edge = sweep_field(ModelParams(u=1e-300, a=0.0, mu_x=1.0, mu_y=1.0), 1.7976931348623157e308, 3)
+    assert edge.axis_values[-1] == 1.7976931348623157e308
+    # an end field beyond float64 warned and was then named as by=inf T
+    message = "sweep end 10000000000.0 * B_Zt = 7.443644169989013e+299 T exceeds float64"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sweep_field(ModelParams(u=1.0, a=1.0, mu_x=1.0, mu_y=1e-300), 1e10, 3)
 
 
 def test_sweep_serialization_round_trip():

@@ -418,6 +418,37 @@ def test_extract_overflow_is_rejected_or_finite(capsys, argv, code, expected):
         assert expected in out and "Infinity" not in out and "NaN" not in out
 
 
+# each of these warned and then named a field the user never gave, or ended in a traceback
+FLOAT64_EDGE = [
+    ("eigen --u 1 --a 1 --mu-x 1e308 --mu-y 1", 2,
+     "error: moment mu_x must be at most 4.4942328371557893e+307, got 1e+308"),
+    ("spectrum-field --u 1 --a 1 --mu-y 1e-300 --max 1e10 --points 3", 2,
+     "error: sweep end 10000000000.0 * B_Zt = 7.443644169989013e+299 T exceeds float64"),
+    ("fit T=1e-155,0.5,1,2,3", 3, "got T = 1e-155 K, sigma_ln_tau = None"),
+    ("fit T=1e-154,1.1e-154,1,2,3", 3, "got T = 1e-154 K, sigma_ln_tau = None"),
+    ("fit sigma=1e-200,0.1,0.1,0.1", 3, "got T = 0.5 K, sigma_ln_tau = 1e-200"),
+]
+FLOAT64_EDGE_DATA = {
+    "fit T=1e-155,0.5,1,2,3": "T_K,tau_s\n1e-155,2\n0.5,2.5\n1,3\n2,4\n3,5\n",
+    "fit T=1e-154,1.1e-154,1,2,3": "T_K,tau_s\n1e-154,2\n1.1e-154,2.5\n1,3\n2,4\n3,5\n",
+    "fit sigma=1e-200,0.1,0.1,0.1":
+        "T_K,tau_s,sigma_ln_tau\n0.5,2.5,1e-200\n1,3,0.1\n2,4,0.1\n3,5,0.1\n",
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case, code, expected", FLOAT64_EDGE, ids=[c[0] for c in FLOAT64_EDGE])
+def test_float64_edge_inputs_are_named_without_a_warning(capsys, tmp_path, case, code, expected):
+    if code == 3:
+        data = tmp_path / "data.csv"
+        data.write_text(FLOAT64_EDGE_DATA[case])
+        assert main(["fit", "--input", str(data), "--processes", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"] == "FitError" and expected in err
+    else:
+        assert run_usage_error(capsys, case.split()).endswith(expected + "\n")
+
+
 def test_fit_curve_leaves_numpy_ma_unloaded(tmp_path):
     # np.unique imports numpy.ma on first use, 14-20 ms of a CLI call
     data, curve = tmp_path / "ds.csv", tmp_path / "curve.csv"

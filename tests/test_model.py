@@ -607,6 +607,19 @@ def test_moment_rejects_unnormalized_state():
     with pytest.raises(ValueError) as err:
         moment_expectation(grid, P10)
     assert str(err.value) == "state (1, 2) is not normalized (|norm - 1| = 1.000e+00)"
+    with pytest.raises(ValueError) as err:
+        moment_expectation(np.zeros(3), P10)
+    assert str(err.value) == "state must have 4 amplitudes, got shape (3,)"
+
+
+def test_moments_beyond_max_entry_are_rejected():
+    # 2 * mu overflowed: a zero field was reported as not finite, and mx came back NaN
+    for mu_x, mu_y, name in ((1e308, 1.0, "mu_x"), (1.0, 1e308, "mu_y")):
+        with pytest.raises(ValueError, match=f"^moment {name} must be at most 4.49.*, got 1e.308$"):
+            ModelParams(u=1.0, a=1.0, mu_x=mu_x, mu_y=mu_y)
+    edge = ModelParams(u=1.0, a=1.0, mu_x=model.MAX_ENTRY, mu_y=model.MAX_ENTRY)
+    assert moment_expectation(basis_state("1bar"), edge) == (-2.0 * model.MAX_ENTRY, 0.0)
+    assert np.isfinite(hamiltonian_stack(edge)).all()
 
 
 def test_hellmann_feynman_derivative():

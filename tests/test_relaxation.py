@@ -393,6 +393,32 @@ def test_fit_covariance_is_symmetric_psd():
     assert np.all(res.std_errors >= 0.0)
 
 
+def test_fit_inputs_beyond_float64_are_named():
+    # a 1/T^2 or 1/sigma^2 that overflows or vanishes reached polyfit and LAPACK (six DLASCL
+    # lines, "SVD did not converge") or raised OverflowError; start lines that leave float64
+    # gave a NaN Jacobian
+    base = [LifetimePoint(t, tau) for t, tau in ((0.5, 2.5), (1.0, 3.0), (2.0, 4.0), (3.0, 5.0))]
+    for extra, named in (
+        ((1e-155, 2.0), "got T = 1e-155 K, sigma_ln_tau = None"),
+        ((1e200, 2.0), "got T = 1e+200 K, sigma_ln_tau = None"),
+        ((4.0, 2.0, 1e-200), "got T = 4.0 K, sigma_ln_tau = 1e-200"),
+        ((4.0, 2.0, 1e200), "got T = 4.0 K, sigma_ln_tau = 1e+200"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(named) + "$"):
+            fit(RelaxationDataset(base + [LifetimePoint(*extra)]), 1)
+    edge = [LifetimePoint(1e-100 * j, 1e250 * 10.0**-j) for j in range(1, 9)]
+    with pytest.raises(ValueError, match=re.escape(
+            "start lines give a residual or slope beyond float64 at T = 1e-100 K")):
+        fit(RelaxationDataset(edge), 2)
+
+
+def test_synthesize_noise_beyond_float64_is_rejected_without_a_warning():
+    # a zero lifetime times an infinite noise factor warned and gave NaN
+    model = RelaxationModel(processes=(ArrheniusProcess(tau0=1e-310, delta=0.0),))
+    with pytest.raises(ValueError, match=r"^lifetime exceeds float64 \(ln tau > 709.78\) at T"):
+        synthesize(model, [1.0, 2.0, 3.0, 4.0], 1e300, seed=0)
+
+
 def test_fit_rejects_undersized_dataset():
     ds = synthesize(SINGLE, np.geomspace(0.4, 30.0, 7), 0.0, seed=0)
     with pytest.raises(ValueError, match="at least 8"):
