@@ -318,6 +318,8 @@ def _cmd_fit(args):
 
 def _cmd_synth(args):
     from .relaxation import ArrheniusProcess, RelaxationModel, synthesize
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
     if not 0 < args.t_min <= args.t_max < np.inf:
         raise ValueError("need 0 < --t-min <= --t-max, both finite")
     model = RelaxationModel(

@@ -375,20 +375,22 @@ def moment_expectation(state, params):
     """
     state, pop = _check_normalized(state)
     p1, p1bar, p2, p2bar = pop if state.ndim == 1 else (pop[..., k] for k in range(4))
-    return Moment(mx=2.0 * params.mu_x * (p1 - p1bar), my=2.0 * params.mu_y * (p2 - p2bar))
+    return Moment(2.0 * params.mu_x * (p1 - p1bar), 2.0 * params.mu_y * (p2 - p2bar))
 
 
 @functools.lru_cache(maxsize=1)
 def _spectrum(data):
-    """Read-only eigenvectors, phase rates and max |rate| of the 4x4 matrix of float64 ``data``."""
+    """Read-only eigenbasis, phase rates and max |rate| of the 4x4 matrix of float64 ``data``;
+    the basis is ``vectors.T`` as the C-contiguous complex copy that real @ complex makes."""
     es = eigensystem(np.frombuffer(data).reshape(4, 4))
     with np.errstate(over="ignore"):
         rates = -2j * np.pi * K_B_OVER_H_GHZ * es.values
     if not np.isfinite(rates).all():
         i = _first(~np.isfinite(rates))
         raise ValueError(f"phase rate of level {i} ({es.values[i]} K) exceeds float64")
-    es.vectors.flags.writeable = rates.flags.writeable = False
-    return es.vectors, rates, float(np.abs(rates.imag).max())
+    basis = np.ascontiguousarray(es.vectors.T, dtype=complex)
+    basis.flags.writeable = rates.flags.writeable = False
+    return basis, rates, float(np.abs(rates.imag).max())
 
 
 def evolve(initial, h, t_ns):
@@ -396,7 +398,7 @@ def evolve(initial, h, t_ns):
 
     Diagonalizes ``h`` once, expands the state in the eigenbasis and
     applies the phase factors exp(-i * 2*pi * (k_B/h) * lambda_i * t); a
-    splitting of 1 K oscillates at 20.836619 GHz.  The last spectrum and
+    splitting of 1 K oscillates at 20.836619 GHz.  The last eigenbasis and
     its phase rates are kept for a call whose ``h`` has the same float64
     entries.  ``t_ns`` is a finite scalar, giving a state of shape ``(4,)``,
     or an array of finite times, giving one state per time (shape
@@ -404,16 +406,18 @@ def evolve(initial, h, t_ns):
     Raises ``ValueError`` where a phase rate or a phase exceeds float64.
     """
     initial, _ = _check_normalized(initial)
-    if initial.shape != (4,) or np.shape(h) != (4, 4):
+    h = np.asarray(h, dtype=float)
+    if initial.shape != (4,) or h.shape != (4, 4):
         raise ValueError(
             f"evolve takes one state (4,) and one 4x4 Hamiltonian, "
-            f"got shapes {initial.shape} and {np.shape(h)}"
+            f"got shapes {initial.shape} and {h.shape}"
         )
     t = np.asarray(t_ns, dtype=float)
-    vectors, rates, top = _spectrum(np.asarray(h, dtype=float).tobytes())
+    basis, rates, top = _spectrum(h.tobytes())
     # each phase is one rounded product rate * t, so all are finite when top * max|t| is;
     # a NaN or infinite time fails this too (a 0-d .max() is slow)
-    if not math.isfinite(top * (float(t) if t.ndim == 0 else float(np.abs(t).max(initial=0.0)))):
+    phase_t = float(t) if t.ndim == 0 else t[..., None]
+    if not math.isfinite(top * (float(np.abs(t).max(initial=0.0)) if t.ndim else phase_t)):
         finite = np.isfinite(t)
         with np.errstate(over="ignore"):
             i = _first(~finite if not finite.all() else ~np.isfinite(top * t))
@@ -421,4 +425,4 @@ def evolve(initial, h, t_ns):
         if not finite.all():
             raise ValueError(f"time must be finite, got {t[i]}{at}")
         raise ValueError(f"phase exceeds float64 at t = {t[i]} ns{at}")
-    return ((vectors.T @ initial) * np.exp(rates * t[..., None])) @ vectors.T
+    return ((basis @ initial) * np.exp(rates * phase_t)) @ basis

@@ -329,6 +329,8 @@ def test_evolve_trace(capsys):
         "extract --delta 0.3 --u=-inf",
         "extract --delta 0.3 --u nan --mode paper",
         "evolve --u 10 --a 1 --mu-y 10 --t-max 1 --points 1",
+        "synth --process 1 1 --t-min 1 --t-max 2 --points 0",
+        "synth --process 1 1 --t-min 1 --t-max 2 --points -1",
     ],
 )
 def test_library_rejections_are_usage_errors(capsys, argv):
@@ -349,6 +351,13 @@ def test_negative_float_literals_are_values(capsys):
     err = run_usage_error(capsys, ["synth", "--process", "1", "-1e3", "--t-min", "1",
                                    "--t-max", "2", "--points", "3"])
     assert "barrier delta must be >= 0 and finite, got -1000.0" in err
+
+
+def test_synth_names_a_point_count_below_one(capsys):
+    for points in ("0", "-1"):
+        err = run_usage_error(capsys, ["synth", "--process", "1", "1", "--t-min", "1",
+                                       "--t-max", "2", "--points", points])
+        assert f"--points must be >= 1, got {points}" in err
 
 
 def test_synth_names_the_temperature_where_the_lifetime_overflows(capsys):

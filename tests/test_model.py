@@ -764,6 +764,31 @@ def test_evolve_follows_the_content_of_h():
         np.testing.assert_array_equal(evolve(initial, matrix, 0.7), expected)
 
 
+def test_evolve_memo_is_read_only_and_never_handed_out():
+    h = build_hamiltonian(P10, FieldVector(bx=0.2, by=0.1))
+    for array in model._spectrum(h.tobytes())[:2]:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    initial = basis_state("1bar")
+    for t in (0.7, np.linspace(0.0, 2.0, 5)):
+        first = evolve(initial, h, t)
+        expected = first.copy()
+        first[...] = np.nan     # the returned state is the caller's own
+        np.testing.assert_array_equal(evolve(initial, h, t), expected)
+        np.testing.assert_array_equal(expected, memo_free_evolve(initial, h, t))
+
+
+@pytest.mark.parametrize(
+    "h, shape",
+    [([[0.0] * 3] * 3, "(3, 3)"), (np.arange(4), "(4,)"), (np.zeros((1, 4, 4), dtype=int), "(1, 4, 4)")],
+)
+def test_evolve_names_the_shape_of_a_wrong_hamiltonian(h, shape):
+    message = f"evolve takes one state (4,) and one 4x4 Hamiltonian, got shapes (4,) and {shape}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        evolve(basis_state("2"), h, 0.5)
+
+
 # ------------------------------------------------------------ state checks
 
 def random_state(rng, shape=()):

@@ -443,6 +443,25 @@ def test_fit_step_whose_norm_overflows_warns_nothing():
     assert exc.value.parameter_pair == ("ln_tau0_1", "delta_3")
 
 
+def test_fit_that_ends_at_a_negative_barrier_keeps_its_message():
+    """The arrhenius-fit workload of ``bench/workloads.py`` (``_fit_hits_known_defect``)
+    sets aside a dataset whose fit raises a ValueError starting with
+    ``barrier delta must be >= 0`` and lets any other exception stop the run.
+    Its seed-8 pool holds this dataset, so rewording the message that ``fit``
+    gives here needs the same change in that workload."""
+    model = RelaxationModel(processes=(
+        ArrheniusProcess(tau0=6.416174943845949, delta=0.4940460054921157),
+        ArrheniusProcess(tau0=2.272457256017805, delta=5.402178268782606),
+        ArrheniusProcess(tau0=0.6980894475861587, delta=34.028912610823355),
+    ))
+    data = synthesize(model, np.geomspace(0.9563166209163936, 101.5709628229762, 30),
+                      0.05, seed=219475902)
+    with pytest.raises(ValueError, match=r"^barrier delta must be >= 0") as exc:
+        fit(data, 3)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "barrier delta must be >= 0 and finite, got -0.3805040653252383"
+
+
 def test_fit_result_json_keys():
     res = fit(synthesize(SINGLE, GRID_30, 0.0, seed=0), 1)
     payload = json.loads(res.to_json())
