@@ -18,6 +18,7 @@ import numpy as np
 
 from .analysis import (
     EXTRACTION_NOTES,
+    _grid,
     ground_splitting,
     kelvin_to_gigahertz,
     sweep_field,
@@ -252,13 +253,9 @@ def _cmd_extract(args):
     if args.u is not None and not np.isfinite(args.u):
         raise ValueError(f"--u must be finite, got {args.u}")
     delta = args.delta
-    splitting_from_model = None
-    if args.u is not None and args.a is not None:
-        splitting_from_model = ground_splitting(
-            ModelParams(u=args.u, a=args.a, mu_x=1.0, mu_y=1.0)
-        )
-    if delta is None:
-        delta = splitting_from_model
+    if args.u is not None and args.a is not None:   # even beside --delta, to reject a bad --a
+        splitting = ground_splitting(ModelParams(u=args.u, a=args.a, mu_x=1.0, mu_y=1.0))
+        delta = splitting if delta is None else delta
     if delta is None:
         raise ValueError("provide --delta, or both --u and --a to compute the splitting")
 
@@ -321,7 +318,8 @@ def _cmd_synth(args):
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
     if not 0 < args.t_min <= args.t_max < np.inf:
-        raise ValueError("need 0 < --t-min <= --t-max, both finite")
+        raise ValueError(f"need 0 < --t-min <= --t-max, both finite, "
+                         f"got {args.t_min} and {args.t_max}")
     model = RelaxationModel(
         processes=tuple(ArrheniusProcess(tau0=p[0], delta=p[1]) for p in args.process)
     )
@@ -331,13 +329,10 @@ def _cmd_synth(args):
 
 
 def _cmd_evolve(args):
-    if args.points < 2:
-        raise ValueError("--points must be >= 2")
     if not 0 < args.t_max < np.inf:
-        raise ValueError("--t-max must be > 0 and finite (nanoseconds)")
+        raise ValueError(f"--t-max must be > 0 and finite (nanoseconds), got {args.t_max}")
+    times = _grid(0.0, args.t_max, args.points)
     params = _model_params(args)
-    with np.errstate(over="ignore"):    # a last point rounded past float64 is set to --t-max
-        times = np.linspace(0.0, args.t_max, args.points)
     states = evolve(basis_state(args.initial), hamiltonian_stack(params, args.bx, args.by), times)
     moments = moment_expectation(states, params)
     populations = zip((f"p{label}" for label in BASIS_LABELS), (np.abs(states) ** 2).T)

@@ -252,8 +252,6 @@ def synthesize(model, temperatures, noise_sigma=0.0, seed=0):
     always yields the same dataset.
     """
     temps = np.asarray(temperatures, dtype=float).ravel()
-    if temps.size == 0:
-        raise ValueError(f"temperatures must hold at least one value, got {temps.size}")
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -358,7 +356,6 @@ def fit(data, n_processes):
         gradient = jtw @ residual
         scale = np.maximum(np.diag(normal), np.finfo(float).tiny)
 
-        accepted = False
         for _ in range(60):
             try:
                 step = np.linalg.solve(normal + damping * np.diag(scale), gradient)
@@ -374,10 +371,9 @@ def fit(data, n_processes):
                 theta, obj, residual, jac = candidate, cand_obj, cand_residual, cand_jac
                 trace.append(obj)
                 damping = max(damping / DAMPING_FACTOR, 1e-15)
-                accepted = True
                 break
             damping *= DAMPING_FACTOR
-        if not accepted:
+        else:   # no downhill step in 60 trials
             break
         small_step = np.linalg.norm(step) < STEP_TOL
         if change <= OBJECTIVE_RTOL * max(obj, np.finfo(float).tiny) or small_step:

@@ -5,9 +5,10 @@
 runs every line of ``cases.txt`` through ``qtmpair.cli.main`` of this
 checkout, in order, in a temporary directory that starts with a copy of
 ``inputs/``, rewrites ``expected.json`` (exit code, stdout, stderr and the
-files each case wrote through ``--output`` or ``--curve-output``) and prints, per subcommand, how many cells moved
-against the old record and by how much.  ``tests/test_golden.py`` runs the
-same cases and checks them with :func:`mismatches`.
+files each case wrote through ``--output`` or ``--curve-output``) and
+prints, per subcommand, how many cells moved against the old record and by
+how much.  ``tests/test_golden.py`` runs the same cases and checks them
+with :func:`mismatches`.
 """
 
 import contextlib

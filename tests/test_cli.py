@@ -360,6 +360,23 @@ def test_synth_names_a_point_count_below_one(capsys):
         assert f"--points must be >= 1, got {points}" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("evolve --u 10 --a 1 --mu-y 10 --t-max 0 --points 3",
+     "--t-max must be > 0 and finite (nanoseconds), got 0.0"),
+    ("evolve --u 10 --a 1 --mu-y 10 --t-max nan --points 1",
+     "--t-max must be > 0 and finite (nanoseconds), got nan"),
+    ("evolve --u 10 --a 1 --mu-y 10 --t-max 1 --points 1",
+     "n_points must be an integer >= 2, got 1"),
+    ("synth --process 1 1 --t-min 2 --t-max 1 --points 3",
+     "need 0 < --t-min <= --t-max, both finite, got 2.0 and 1.0"),
+    ("synth --process 1 1 --t-min 1 --t-max inf --points 3",
+     "need 0 < --t-min <= --t-max, both finite, got 1.0 and inf"),
+])
+def test_time_grid_messages_name_their_values(capsys, argv, message):
+    # --t-max is checked before --points; evolve's point count follows the spectrum rule
+    assert run_usage_error(capsys, argv.split()).endswith(f"error: {message}\n")
+
+
 def test_synth_names_the_temperature_where_the_lifetime_overflows(capsys):
     err = run_usage_error(capsys, ["synth", "--process", "1e-10", "2200", "--t-min", "2",
                                    "--t-max", "100", "--points", "5"])

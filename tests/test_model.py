@@ -643,6 +643,41 @@ def test_lambda2_stays_zero_along_y_sweep():
         assert abs(es.values[1]) < 1e-10
 
 
+def test_small_fields_shift_the_ground_level_at_second_order():
+    """The non-linear field response below saturation, from perturbation theory.
+
+    At zero field the ground state is alpha|s1> + beta|s2> (s: the symmetric
+    combination of a doublet; g = its vector, alpha^2 = 2 g[0]^2, beta^2 =
+    2 g[2]^2).  A field along x couples it only to (|1> - |1bar>)/sqrt(2) at 0,
+    with element alpha*e1, and one along y only to (|2> - |2bar>)/sqrt(2) at U,
+    with element beta*e2 (e = 2 mu B mu_B/k_B).  So lambda1 moves by
+    -alpha^2 e1^2 / (0 - lambda1) and -beta^2 e2^2 / (U - lambda1), up to a
+    relative (e / denominator)^2 = 1e-6 at the fields chosen here.  Where alpha or
+    beta is small the shift nears rounding, hence the absolute term.
+    """
+    rng = np.random.default_rng(20)
+    n = 400
+    u = rng.choice((-1.0, 1.0), n) * np.exp(rng.uniform(np.log(1e-2), np.log(50.0), n))
+    a = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), n))
+    mu = rng.uniform(1.0, 20.0, (n, 2))
+    for axis in (0, 1):     # x, then y
+        h, expected = np.empty((n, 4, 4)), np.empty((n, 2))
+        for k in range(n):
+            params = ModelParams(u=u[k], a=a[k], mu_x=mu[k, 0], mu_y=mu[k, 1])
+            zero = zero_field_eigensystem(params)
+            ground, weight = zero.values[0], 2.0 * zero.vectors[2 * axis, 0] ** 2
+            denominator = (0.0, u[k])[axis] - ground
+            e = 1e-3 * denominator
+            field = e / (2.0 * mu[k, axis] * MU_B_OVER_K_B)
+            h[k] = hamiltonian_stack(params, *((field, 0.0), (0.0, field))[axis])
+            expected[k] = ground, -weight * e**2 / denominator
+        floor = 8.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(h).sum(axis=-1).max(axis=-1))
+        error = np.abs(eigensystem(h).values[:, 0] - expected.sum(axis=1))
+        bound = 1e-5 * np.abs(expected[:, 1]) + floor
+        assert (error <= bound).all(), (axis, np.flatnonzero(error > bound))
+        assert np.mean(np.abs(expected[:, 1]) > 1e3 * floor) > 0.5     # the shift is resolved
+
+
 # ---------------------------------------------------------------- evolve
 
 def test_evolve_identity_at_zero_time():

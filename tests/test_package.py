@@ -2,6 +2,7 @@
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import qtmpair
+from qtmpair.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,6 +25,27 @@ def test_readme_python_examples_run_in_order(capsys):
     assert capsys.readouterr().out.startswith("axis,lambda1,lambda2,lambda3,lambda4,mx,my\n")
     assert namespace["states"].shape == (64, 4)
     assert len(namespace["result"].model.processes) == 2
+
+
+def readme_shell_lines():
+    """The ``qtmpair`` command lines of the README's ``sh`` blocks, continuations joined.
+
+    CI runs the same lines through the installed console script.
+    """
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```$", text, flags=re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("qtmpair ")]
+
+
+def test_readme_shell_examples_run_in_order(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    lines = readme_shell_lines()
+    assert len(lines) >= 8
+    for line in lines:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line
+    assert (tmp_path / "curve.csv").read_text().startswith("T_K,tau_s\n")
+    capsys.readouterr()
 
 
 def test_cli_import_leaves_the_reference_data_out():

@@ -406,6 +406,12 @@ def test_fit_inputs_beyond_float64_are_named():
     ):
         with pytest.raises(ValueError, match=re.escape(named) + "$"):
             fit(RelaxationDataset(base + [LifetimePoint(*extra)]), 1)
+    # weights of 1e-310 pass the input check, but the normal matrix that scales with them
+    # cannot be inverted within float64
+    faint = [LifetimePoint(p.t_kelvin, p.tau_s, 1e155) for p in base]
+    with pytest.raises(ValueError, match=re.escape(
+            "covariance exceeds float64 for weights down to 1e-310") + "$"):
+        fit(RelaxationDataset(faint), 1)
     edge = [LifetimePoint(1e-100 * j, 1e250 * 10.0**-j) for j in range(1, 9)]
     with pytest.raises(ValueError, match=re.escape(
             "start lines give a residual or slope beyond float64 at T = 1e-100 K")):
