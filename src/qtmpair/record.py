@@ -7,9 +7,13 @@ class Record:
 
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        # each slot's own setter, so that _init skips object.__setattr__'s lookup by name
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     def _init(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def _values(self):
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -28,6 +28,7 @@ OBJECTIVE_RTOL = 1e-12
 STEP_TOL = 1e-10
 DAMPING_FACTOR = 10.0
 CONDITION_LIMIT = 1e12
+TINY = np.finfo(float).tiny
 
 DATASET_COLUMNS = ("T_K", "tau_s", "sigma_ln_tau", "mode")
 
@@ -143,28 +144,31 @@ def parse_dataset_csv(text):
         raise ValueError(
             f"dataset header must be T_K,tau_s[,sigma_ln_tau][,mode], got {','.join(header)}"
         )
+    n = len(header)     # an absent column reads cell n, which padding leaves empty
+    sigma_at, mode_at = (header.index(h) if h in header else n for h in DATASET_COLUMNS[2:])
     points = []
     for number, row in enumerate(reader, start=2):
         cells = [cell.strip() for cell in row]
         if not any(cells):
             continue
-        if len(cells) > len(header):
-            raise ValueError(f"line {number}: {len(cells)} cells for {len(header)} columns")
-        record = dict(zip(header, cells))
-        if "T_K" not in record or "tau_s" not in record:
+        if len(cells) > n:
+            raise ValueError(f"line {number}: {len(cells)} cells for {n} columns")
+        if len(cells) < 2:
             raise ValueError(f"line {number}: missing T_K/tau_s cells")
-        t_kelvin, tau_s = _cell_value(record, "T_K", number), _cell_value(record, "tau_s", number)
-        sigma = _cell_value(record, "sigma_ln_tau", number) if record.get("sigma_ln_tau") else None
+        cells += [""] * (n + 1 - len(cells))
+        t_kelvin = _cell_value(cells[0], "T_K", number)
+        tau_s = _cell_value(cells[1], "tau_s", number)
+        sigma = _cell_value(cells[sigma_at], "sigma_ln_tau", number) if cells[sigma_at] else None
         try:
-            points.append(LifetimePoint(t_kelvin, tau_s, sigma, record.get("mode", "")))
+            points.append(LifetimePoint(t_kelvin, tau_s, sigma, cells[mode_at]))
         except ValueError as err:
             raise ValueError(f"line {number}: {err}") from None
     return RelaxationDataset(points=tuple(points))
 
 
-def _cell_value(record, column, number):
+def _cell_value(cell, column, number):
     try:
-        return float(record[column])
+        return float(cell)
     except ValueError as err:
         raise ValueError(f"line {number}, column {column}: {err}") from None
 
@@ -220,8 +224,8 @@ def _evaluate(theta, t):
         channel = np.exp(-theta[0::2] - theta[1::2] / t[:, None])
         rate = channel.sum(axis=1)
         jac = np.empty((len(t), len(theta)))
-        jac[:, 0::2] = channel / rate[:, None]
-        jac[:, 1::2] = channel / (rate * t)[:, None]
+        np.divide(channel, rate[:, None], out=jac[:, 0::2])
+        np.divide(channel, (rate * t)[:, None], out=jac[:, 1::2])
         return -np.log(rate), jac
 
 
@@ -261,10 +265,7 @@ def synthesize(model, temperatures, noise_sigma=0.0, seed=0):
     if bad.any():
         first = temps[_first(bad)]
         raise ValueError(f"lifetime exceeds float64 (ln tau > 709.78) at T = {first} K")
-    points = tuple(
-        LifetimePoint(t_kelvin=t, tau_s=tau) for t, tau in zip(temps.tolist(), taus.tolist())
-    )
-    return RelaxationDataset(points=points)
+    return RelaxationDataset(points=tuple(map(LifetimePoint, temps.tolist(), taus.tolist())))
 
 
 # -------------------------------------------------------------------- fit
@@ -342,7 +343,7 @@ def fit(data, n_processes):
     ln_tau, jac = _evaluate(theta, t)
     residual = y - ln_tau
     terms = weights * residual**2
-    obj = float(np.sum(terms))
+    obj = float(terms.sum())
     if not (math.isfinite(obj) and np.isfinite(jac).all()):
         i = _first(~np.isfinite(np.column_stack([terms, jac])).all(axis=1))
         raise ValueError(f"start lines give a residual or slope beyond float64 at T = {t[i]} K")
@@ -354,19 +355,19 @@ def fit(data, n_processes):
         jtw = jac.T * weights
         normal = jtw @ jac
         gradient = jtw @ residual
-        scale = np.maximum(np.diag(normal), np.finfo(float).tiny)
+        scale = np.diag(np.maximum(normal.diagonal(), TINY))
 
         for _ in range(60):
             try:
-                step = np.linalg.solve(normal + damping * np.diag(scale), gradient)
+                step = np.linalg.solve(normal + damping * scale, gradient)
             except np.linalg.LinAlgError:
                 damping *= DAMPING_FACTOR
                 continue
             candidate = theta + step
             cand_ln_tau, cand_jac = _evaluate(candidate, t)
             cand_residual = y - cand_ln_tau
-            cand_obj = float(np.sum(weights * cand_residual**2))
-            if np.isfinite(cand_obj) and cand_obj <= obj and np.isfinite(cand_jac).all():
+            cand_obj = float((weights * cand_residual**2).sum())
+            if math.isfinite(cand_obj) and cand_obj <= obj and np.isfinite(cand_jac).all():
                 change = obj - cand_obj
                 theta, obj, residual, jac = candidate, cand_obj, cand_residual, cand_jac
                 trace.append(obj)
@@ -375,8 +376,8 @@ def fit(data, n_processes):
             damping *= DAMPING_FACTOR
         else:   # no downhill step in 60 trials
             break
-        small_step = np.linalg.norm(step) < STEP_TOL
-        if change <= OBJECTIVE_RTOL * max(obj, np.finfo(float).tiny) or small_step:
+        small_step = math.sqrt(step @ step) < STEP_TOL     # np.linalg.norm's sum for a vector
+        if change <= OBJECTIVE_RTOL * max(obj, TINY) or small_step:
             converged = True
             break
 
@@ -420,7 +421,7 @@ def _covariance(normal, residual, weights, n_params):
 
 def _degenerate_pair(normal, n_params):
     """Names of the two parameters dominating the near-null direction."""
-    d = np.sqrt(np.maximum(np.diag(normal), np.finfo(float).tiny))
+    d = np.sqrt(np.maximum(np.diag(normal), TINY))
     corr = normal / np.outer(d, d)
     _, vecs = np.linalg.eigh(corr)
     null = np.abs(vecs[:, 0])

@@ -563,6 +563,37 @@ def test_dataset_csv_rejects_malformed_rows():
         parse_dataset_csv('T_K,tau_s,mode\n1.0,2.0,DC\n1.0,2.0,"a,b"\n')
 
 
+MODE_FIRST = "T_K,tau_s,mode,sigma_ln_tau\n"     # to_csv never writes mode before sigma_ln_tau
+
+
+def test_dataset_csv_reads_cells_by_column_position():
+    ds = parse_dataset_csv(MODE_FIRST + "1.0,2.0,DC,0.1\n"
+                           "3.0,4.0,AC,\n"      # an empty sigma_ln_tau cell
+                           "5.0,6.0,AC\n"       # rows shorter than the header
+                           "7.0,8.0\n")
+    assert ds.points == (LifetimePoint(1.0, 2.0, 0.1, "DC"), LifetimePoint(3.0, 4.0, None, "AC"),
+                         LifetimePoint(5.0, 6.0, None, "AC"), LifetimePoint(7.0, 8.0, None, ""))
+    ds = parse_dataset_csv("T_K,tau_s,sigma_ln_tau,mode\n1.0,2.0,0.1\n3.0,4.0,,AC\n")
+    assert ds.points == (LifetimePoint(1.0, 2.0, 0.1, ""), LifetimePoint(3.0, 4.0, None, "AC"))
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("1.0,2.0,DC,0.1,9\n", "line 2: 5 cells for 4 columns"),
+        ("1.0,2.0,DC,0.1\n3.0\n", "line 3: missing T_K/tau_s cells"),
+        ("1.0,2.0,DC,x\n", "line 2, column sigma_ln_tau: could not convert string to float: 'x'"),
+        ("1.0,,DC,0.1\n", "line 2, column tau_s: could not convert string to float: ''"),
+        ("1.0,2.0,DC,-0.1\n", "line 2: sigma_ln_tau must be positive when given, got -0.1"),
+        ('1.0,2.0,"a""b",0.1\n', "line 2: mode tag 'a\"b' cannot be written to CSV unchanged"),
+    ],
+    ids=["extra-cell", "one-cell-row", "bad-sigma", "empty-tau", "negative-sigma", "quoted-tag"],
+)
+def test_dataset_csv_located_messages_with_mode_first(rows, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_dataset_csv(MODE_FIRST + rows)
+
+
 # ------------------------------------------------------ rejected arguments
 
 TWO_STATES = np.tile(basis_state("1"), (2, 1))
