@@ -258,6 +258,8 @@ def _cmd_extract(args):
         delta = splitting if delta is None else delta
     if delta is None:
         raise ValueError("provide --delta, or both --u and --a to compute the splitting")
+    if args.mode == "exact" and args.u is None:
+        raise ValueError("--mode exact needs --u: the exact inversion uses the doublet splitting U")
 
     paper = args.mode in ("paper", "both")
     exact = args.mode == "exact" or (args.mode == "both" and args.u is not None and args.u >= 0)
@@ -348,7 +350,9 @@ def _write_text(path, text):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:     # as parse_args would, but through the subcommand's own parser
+        args._parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         output = args.handler(args)
         if args.output is not None:
