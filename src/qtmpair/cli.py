@@ -349,10 +349,12 @@ def _write_text(path, text):
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     args, unknown = parser.parse_known_args(argv)
-    if unknown:     # as parse_args would, but through the subcommand's own parser
-        args._parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    if unknown:     # as parse_args would; with only -h, the top level owns a leftover
+        owner = args._parser if argv[0] == args.command else parser  # iff the command is not first
+        owner.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         output = args.handler(args)
         if args.output is not None:

@@ -218,17 +218,17 @@ def _evaluate(theta, t):
 
     theta = (ln tau0_1, delta_1, ln tau0_2, ...); Jacobian rows are data
     points.  Rates that underflow to 0 or overflow give ln tau = +-inf and
-    a NaN Jacobian silently; ``fit`` rejects such candidates by objective.
+    a NaN Jacobian, silent under its callers' errstate; ``fit`` rejects them.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        channel = np.exp(-theta[0::2] - theta[1::2] / t[:, None])
-        rate = channel.sum(axis=1)
-        jac = np.empty((len(t), len(theta)))
-        np.divide(channel, rate[:, None], out=jac[:, 0::2])
-        np.divide(channel, (rate * t)[:, None], out=jac[:, 1::2])
-        return -np.log(rate), jac
+    channel = np.exp(-theta[0::2] - theta[1::2] / t[:, None])
+    rate = channel.sum(axis=1)
+    jac = np.empty((len(t), len(theta)))
+    np.divide(channel, rate[:, None], out=jac[:, 0::2])
+    np.divide(channel, (rate * t)[:, None], out=jac[:, 1::2])
+    return -np.log(rate), jac
 
 
+@np.errstate(all="ignore")  # a lifetime beyond float64 is inf, one that rounds to 0 is 0
 def model_lifetime(model, t_kelvin):
     """Lifetime of the parallel-channel model at temperature(s) ``t_kelvin``.
 
@@ -242,9 +242,7 @@ def model_lifetime(model, t_kelvin):
         i = _first(bad)     # () for a scalar, reported as index 0
         raise ValueError(f"temperatures must be positive and finite, got {t[i]} at index {i or 0}")
     theta = np.array([[np.log(p.tau0), p.delta] for p in model.processes]).ravel()
-    log_tau = _evaluate(theta, t.reshape(-1))[0]
-    with np.errstate(over="ignore"):
-        tau = np.exp(log_tau)
+    tau = np.exp(_evaluate(theta, t.reshape(-1))[0])
     return float(tau[0]) if t.ndim == 0 else tau.reshape(t.shape)
 
 
@@ -265,6 +263,9 @@ def synthesize(model, temperatures, noise_sigma=0.0, seed=0):
     if bad.any():
         first = temps[_first(bad)]
         raise ValueError(f"lifetime exceeds float64 (ln tau > 709.78) at T = {first} K")
+    if not taus.all():      # a rate 1/tau beyond float64, or noise, gave 0; inf is named first
+        first = temps[_first(taus == 0.0)]
+        raise ValueError(f"lifetime underflows float64 (ln tau < -709.78) at T = {first} K")
     return RelaxationDataset(points=tuple(map(LifetimePoint, temps.tolist(), taus.tolist())))
 
 

@@ -166,7 +166,7 @@ def report(old_records, new_records):
     summary = {}
     for record in new_records:
         argv = shlex.split(record["case"])
-        command = "qtmpair" if argv[0] == "--help" else argv[0]
+        command = next((a for a in argv if not a.startswith("-")), "qtmpair")   # --help: qtmpair
         row = summary.setdefault(command, {"cases": 0, "new": 0, "moved": 0, "cells": 0,
                                            "largest": 0.0, "texts": []})
         row["cases"] += 1

@@ -105,6 +105,7 @@ def test_sweep_serialization_round_trip():
     csv_text = table.to_csv()
     lines = csv_text.strip().split("\n")
     assert lines[0] == "axis,lambda1,lambda2,lambda3,lambda4,mx,my"
+    assert table.columns() == lines[0].split(",")
     assert len(lines) == 6
     parsed = [float(x) for x in lines[1].split(",")]
     assert parsed[0] == 0.0
@@ -115,6 +116,7 @@ def test_sweep_serialization_round_trip():
 
     ratio_table = sweep_ratio(0.0, 10.0, 3)
     assert ratio_table.to_csv().split("\n")[0] == "axis,lambda1,lambda2,lambda3,lambda4"
+    assert ratio_table.columns() == ["axis", "lambda1", "lambda2", "lambda3", "lambda4"]
 
 
 # ---------------------------------------------------------------- scalars

@@ -62,11 +62,11 @@ def test_jacobian_matches_central_differences():
             )
 
 
-def test_evaluate_is_silent_when_rates_underflow():
-    # a far-off fit candidate: every rate underflows to 0, so ln tau = +inf
+def test_evaluate_gives_infinite_ln_tau_when_rates_underflow():
+    # a far-off fit candidate: every rate underflows to 0, so ln tau = +inf; its callers
+    # keep that silent (tests of model_lifetime and synthesize turn warnings into errors)
     theta = np.array([800.0, 0.0, 5.0, 1.0e5])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    with np.errstate(all="ignore"):     # the scope that fit and model_lifetime provide
         ln_tau, jac = _evaluate(theta, GRID_30)
     assert np.all(ln_tau == np.inf)
     assert jac.shape == (30, 4)
@@ -98,7 +98,8 @@ def test_evaluate_equals_per_channel_form():
         theta = np.empty(2 * n)
         theta[0::2] = rng.uniform(-10.0, 5.0, n) + (800.0 if k % 10 == 0 else 0.0)
         theta[1::2] = rng.uniform(0.0, 30.0, n)
-        ln_tau, jac = _evaluate(theta, t)
+        with np.errstate(all="ignore"):     # the scope that fit provides
+            ln_tau, jac = _evaluate(theta, t)
         old_ln_tau, old_jac = per_channel_evaluate(theta, t)
         underflowed += bool(np.all(ln_tau == np.inf))
         assert np.array_equal(ln_tau, old_ln_tau)
@@ -423,6 +424,19 @@ def test_synthesize_noise_beyond_float64_is_rejected_without_a_warning():
     model = RelaxationModel(processes=(ArrheniusProcess(tau0=1e-310, delta=0.0),))
     with pytest.raises(ValueError, match=r"^lifetime exceeds float64 \(ln tau > 709.78\) at T"):
         synthesize(model, [1.0, 2.0, 3.0, 4.0], 1e300, seed=0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_synthesize_names_the_temperature_where_the_lifetime_rounds_to_zero():
+    # each rate 1/tau0 = 2e323/s is beyond float64, so every lifetime is 0
+    tiny = ArrheniusProcess(tau0=5e-324, delta=0.0)
+    message = r"^lifetime underflows float64 \(ln tau < -709.78\) at T = 1.0 K$"
+    with pytest.raises(ValueError, match=message):
+        synthesize(RelaxationModel(processes=(tiny,) * 4), [1.0, 2.0, 3.0], 0.0, seed=0)
+    # a 1e-300 s lifetime is finite, but noise can round it to 0: here eps = -76.6 at 3.0 K
+    model = RelaxationModel(processes=(ArrheniusProcess(tau0=1e-300, delta=0.0),))
+    with pytest.raises(ValueError, match=r"\(ln tau < -709.78\) at T = 3.0 K$"):
+        synthesize(model, [1.0, 2.0, 3.0], 30.0, seed=6)
 
 
 def test_fit_rejects_undersized_dataset():
