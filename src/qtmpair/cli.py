@@ -11,6 +11,7 @@ shortest round-trip decimals.
 """
 
 import argparse
+import functools
 import re
 import sys
 
@@ -72,6 +73,7 @@ def _model_params(args):
     return ModelParams(u=args.u, a=args.a, mu_x=mu_x, mu_y=args.mu_y)
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qtmpair",

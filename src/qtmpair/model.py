@@ -189,13 +189,13 @@ def eigensystem(h):
     """Diagonalize one symmetric 4x4 Hamiltonian or a stack of them.
 
     All matrices go through one batched LAPACK call (``np.linalg.eigh``).
-    ``h`` has shape ``(4, 4)`` or ``(n, 4, 4)``; the result has ``values``
-    of shape ``(..., 4)`` and ``vectors`` of shape ``(..., 4, 4)``, with
+    ``h`` has shape ``(..., 4, 4)``; the result has ``values`` of shape
+    ``(..., 4)`` and ``vectors`` of shape ``(..., 4, 4)``, with
     the conventions of :class:`EigenSystem`.  Raises ``ValueError`` if an
     entry is not finite or beyond ``MAX_ENTRY``, or a matrix is not symmetric.
     """
     h = np.asarray(h, dtype=float)
-    if h.ndim not in (2, 3) or h.shape[-2:] != (4, 4):
+    if h.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix or a stack of them, got shape {h.shape}")
     if not (np.abs(h) <= MAX_ENTRY).all():     # NaN fails too
         if not np.isfinite(h).all():

@@ -46,9 +46,7 @@ def run_cases(workdir, cases):
     os.chdir(workdir)
     try:
         with mock.patch.dict(os.environ, COLUMNS="80"):     # argparse wraps help to this width
-            # one parser for all cases: building it is most of an in-process call
-            with mock.patch.object(cli, "build_parser", lambda parser=cli.build_parser(): parser):
-                return [_run(cli.main, case) for case in cases]
+            return [_run(cli.main, case) for case in cases]
     finally:
         os.chdir(cwd)
 

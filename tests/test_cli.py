@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtmpair.cli import main
+from qtmpair.cli import build_parser, main
 from qtmpair.relaxation import load_dataset, parse_dataset_csv
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,6 +44,10 @@ def test_help_exits_zero_and_documents_units(capsys):
             unit in text
             for unit in ("kelvin", "tesla", "nanoseconds", "seconds", "dimensionless")
         )
+
+
+def test_one_parser_serves_every_call():
+    assert build_parser() is build_parser()
 
 
 # ------------------------------------------------------------ spectrum-ua
@@ -291,6 +295,17 @@ def test_fit_not_converged_is_domain_error(capsys, tmp_path):
         "iterations": 500,
         "residual_rms": 0.04218303694197043,
     }
+
+
+def test_fit_without_a_downhill_step_is_domain_error(capsys, tmp_path, monkeypatch):
+    data = tmp_path / "data.csv"
+    run_ok(capsys, ["synth", "--process", "2.1e-3", "16.1", "--t-min", "0.4", "--t-max", "30",
+                    "--points", "30", "--noise", "0.05", "--seed", "1", "--output", str(data)])
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
+    assert main(["fit", "--input", str(data), "--processes", "1"]) == 3
+    diagnostic = json.loads(capsys.readouterr().err)
+    assert diagnostic["error"] == "FitNotConverged" and diagnostic["iterations"] == 1
+    assert diagnostic["message"] == "fit did not converge within 1 iterations"
 
 
 # ----------------------------------------------------------------- evolve

@@ -270,9 +270,7 @@ def check_subcommand(argv, capfd, curve):
         assert all(math.isfinite(v) for v in diagnostic.values() if isinstance(v, float)), err
 
 
-def test_every_call_is_finite_or_rejected(files, capfd, monkeypatch):
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)   # one parser for all calls
+def test_every_call_is_finite_or_rejected(files, capfd):
     data, curve = files / "data.csv", files / "curve.csv"
 
     @SETTINGS

@@ -306,6 +306,26 @@ def test_batched_calls_equal_per_item_calls():
         assert (moments.mx[i], moments.my[i]) == single
 
 
+@pytest.mark.parametrize("u", [0.0, 12.0, -5.0])
+@pytest.mark.parametrize("a", [0.0, 0.7])
+def test_field_grids_equal_flat_and_single_calls(u, a):
+    """A (3, 5) field grid from hamiltonian_stack, with field components at
+    zero among general ones, gives bit for bit the values and vectors of the
+    flattened stack and of one call per matrix, pinned clusters included."""
+    params = ModelParams(u=u, a=a, mu_x=4.0, mu_y=9.0)
+    bx = np.array([0.0, -0.4, 1.1])[:, None]
+    by = np.array([0.0, 0.3, -0.8, 0.0, 1.5])
+    grid = hamiltonian_stack(params, bx, by)
+    es, flat = eigensystem(grid), eigensystem(grid.reshape(15, 4, 4))
+    assert es.values.shape == (3, 5, 4) and es.vectors.shape == (3, 5, 4, 4)
+    np.testing.assert_array_equal(es.values.reshape(15, 4), flat.values)
+    np.testing.assert_array_equal(es.vectors.reshape(15, 4, 4), flat.vectors)
+    for h, values, vectors in zip(grid.reshape(15, 4, 4), flat.values, flat.vectors):
+        single = eigensystem(h)
+        np.testing.assert_array_equal(values, single.values)
+        np.testing.assert_array_equal(vectors, single.vectors)
+
+
 def test_pinned_basis_in_exact_degeneracies():
     # a = 0: H is diagonal and the doublets are exactly degenerate
     es = eigensystem(build_hamiltonian(ModelParams(u=10.0, a=0.0, mu_x=3.0, mu_y=5.0)))

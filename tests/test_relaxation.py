@@ -295,6 +295,37 @@ def test_fit_seeded_round_trip_example():
         assert 0.5 <= fitted.tau0 / truth.tau0 <= 2.0
 
 
+def test_fit_retries_a_singular_step_with_more_damping(monkeypatch):
+    """A damped normal matrix that LAPACK calls singular is retried at ten
+    times the damping; on the seed-1 Dy2S@C82 data the fit still lands on
+    the unpatched minimum."""
+    ds = synthesize(DY2S_C82.relaxation, GRID_30, 0.05, seed=1)
+    plain = fit(ds, 2)
+    solve, calls = np.linalg.solve, []
+
+    def singular_once(a, b):
+        calls.append(a)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_once)
+    retried = fit(ds, 2)
+    assert retried.converged and len(calls) > 1
+    for got, want in zip(retried.model.processes, plain.model.processes):
+        np.testing.assert_allclose(got.tau0, want.tau0, rtol=1e-7)
+        np.testing.assert_allclose(got.delta, want.delta, rtol=1e-7)
+
+
+def test_fit_without_a_downhill_step_stops_unconverged(monkeypatch):
+    """Where none of the 60 damped trials goes downhill, the fit stops after
+    its first iteration and reports that it did not converge."""
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
+    res = fit(synthesize(DY2S_C82.relaxation, GRID_30, 0.05, seed=1), 2)
+    assert not res.converged
+    assert res.iterations == 1 and len(res.objective_trace) == 1
+
+
 def test_fit_scatter_tracks_information_limit():
     """The spread of the low-barrier estimate over seeds should match the
     least-squares information limit (within a factor 2), i.e. the fitter
@@ -618,6 +649,10 @@ TWO_STATES = np.tile(basis_state("1"), (2, 1))
     [
         (lambda: eigensystem(np.eye(3)), ValueError,
          "expected a 4x4 matrix or a stack of them, got shape (3, 3)"),
+        (lambda: eigensystem(np.zeros(4)), ValueError,
+         "expected a 4x4 matrix or a stack of them, got shape (4,)"),
+        (lambda: eigensystem(0.0), ValueError,
+         "expected a 4x4 matrix or a stack of them, got shape ()"),
         (lambda: basis_state("3"), ValueError,
          "unknown basis label '3', expected one of ('1', '1bar', '2', '2bar')"),
         (lambda: evolve(TWO_STATES, np.eye(4), 1.0), ValueError,
@@ -636,8 +671,8 @@ TWO_STATES = np.tile(basis_state("1"), (2, 1))
         (lambda: parse_dataset_csv("T_K,tau_s\n\n , \n"), ValueError,
          "dataset must contain at least one point"),
     ],
-    ids=["eigensystem-3x3", "basis-label", "evolve-states", "evolve-matrices",
-         "fit-fractional-processes", "fit-float-processes",
+    ids=["eigensystem-3x3", "eigensystem-vector", "eigensystem-scalar", "basis-label",
+         "evolve-states", "evolve-matrices", "fit-fractional-processes", "fit-float-processes",
          "model-type", "dataset-type", "csv-blank-rows"],
 )
 def test_library_rejects_malformed_arguments(call, error, message):
