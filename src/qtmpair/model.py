@@ -191,9 +191,11 @@ def eigensystem(h):
     All matrices go through one batched LAPACK call (``np.linalg.eigh``).
     ``h`` has shape ``(..., 4, 4)``; the result has ``values`` of shape
     ``(..., 4)`` and ``vectors`` of shape ``(..., 4, 4)``, with
-    the conventions of :class:`EigenSystem`.  Raises ``ValueError`` if an
-    entry is not finite or beyond ``MAX_ENTRY``, or a matrix is not symmetric.
+    the conventions of :class:`EigenSystem`.  Raises ``ValueError`` if ``h`` is complex,
+    an entry is not finite or beyond ``MAX_ENTRY``, or a matrix is not symmetric.
     """
+    if np.iscomplexobj(h):      # a float cast would drop the imaginary part with a warning
+        raise ValueError(f"Hamiltonian must be real, got {np.asarray(h).dtype} entries")
     h = np.asarray(h, dtype=float)
     if h.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix or a stack of them, got shape {h.shape}")
@@ -379,10 +381,10 @@ def moment_expectation(state, params):
 
 
 @functools.lru_cache(maxsize=1)
-def _spectrum(data):
-    """Read-only eigenbasis, phase rates and max |rate| of the 4x4 matrix of float64 ``data``;
+def _spectrum(data, dtype):
+    """Read-only eigenbasis, phase rates and max |rate| of the 4x4 matrix of ``dtype`` ``data``;
     the basis is ``vectors.T`` as the C-contiguous complex copy that real @ complex makes."""
-    es = eigensystem(np.frombuffer(data).reshape(4, 4))
+    es = eigensystem(np.frombuffer(data, dtype).reshape(4, 4))
     with np.errstate(over="ignore"):
         rates = -2j * np.pi * K_B_OVER_H_GHZ * es.values
     if not np.isfinite(rates).all():
@@ -399,21 +401,24 @@ def evolve(initial, h, t_ns):
     Diagonalizes ``h`` once, expands the state in the eigenbasis and
     applies the phase factors exp(-i * 2*pi * (k_B/h) * lambda_i * t); a
     splitting of 1 K oscillates at 20.836619 GHz.  The last eigenbasis and
-    its phase rates are kept for a call whose ``h`` has the same float64
-    entries.  ``t_ns`` is a finite scalar, giving a state of shape ``(4,)``,
+    its phase rates are kept for a call whose ``h`` has the same entries
+    and dtype.  ``t_ns`` is a finite scalar, giving a state of shape ``(4,)``,
     or an array of finite times, giving one state per time (shape
     ``(..., 4)``).  The norm is preserved and the map is reversible (t -> -t).
-    Raises ``ValueError`` where a phase rate or a phase exceeds float64.
+    Raises ``ValueError`` for an ``h`` that :func:`eigensystem` refuses, a
+    complex one included, and where a phase rate or a phase exceeds float64.
     """
     initial, _ = _check_normalized(initial)
-    h = np.asarray(h, dtype=float)
+    h = np.asarray(h)     # cast, or refused if complex, once per new matrix by eigensystem
+    if h.dtype.hasobject:     # its bytes are pointers, no memo key: cast it here instead
+        h = h.astype(float)
     if initial.shape != (4,) or h.shape != (4, 4):
         raise ValueError(
             f"evolve takes one state (4,) and one 4x4 Hamiltonian, "
             f"got shapes {initial.shape} and {h.shape}"
         )
     t = np.asarray(t_ns, dtype=float)
-    basis, rates, top = _spectrum(h.tobytes())
+    basis, rates, top = _spectrum(h.tobytes(), h.dtype)
     # each phase is one rounded product rate * t, so all are finite when top * max|t| is;
     # a NaN or infinite time fails this too (a 0-d .max() is slow)
     phase_t = float(t) if t.ndim == 0 else t[..., None]

@@ -257,7 +257,10 @@ def synthesize(model, temperatures, noise_sigma=0.0, seed=0):
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     with np.errstate(over="ignore", invalid="ignore"):
-        eps = np.random.default_rng(seed).standard_normal(temps.size) * noise_sigma
+        try:
+            eps = np.random.default_rng(seed).standard_normal(temps.size) * noise_sigma
+        except ValueError:      # numpy's message names neither the seed nor its value
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}") from None
         taus = model_lifetime(model, temps) * np.exp(eps)
     bad = ~(taus < np.inf)      # inf, or NaN from a zero lifetime times an infinite factor
     if bad.any():

@@ -7,8 +7,9 @@ checkout, in order, in a temporary directory that starts with a copy of
 ``inputs/``, rewrites ``expected.json`` (exit code, stdout, stderr and the
 files each case wrote through ``--output`` or ``--curve-output``) and
 prints, per subcommand, how many cells moved against the old record and by
-how much.  ``tests/test_golden.py`` runs the same cases and checks them
-with :func:`mismatches`.
+how much, and which cases of the old record the new one drops.
+``tests/test_golden.py`` runs the same cases and checks them with
+:func:`mismatches`, one test per case.
 """
 
 import contextlib
@@ -158,15 +159,26 @@ def mismatches(expected, actual):
 
 
 def report(old_records, new_records):
-    """Per subcommand: cases, new cases, cases and cells that moved, the largest numeric
-    move, and each moved text cell (a message, an exit code, a line of text)."""
+    """Per subcommand: cases, new cases, dropped cases (in the old record only), cases and
+    cells that moved, the largest numeric move, each dropped case and each moved text cell
+    (a message, an exit code, a line of text)."""
     old = {record["case"]: record for record in old_records}
     summary = {}
-    for record in new_records:
-        argv = shlex.split(record["case"])
+
+    def row_of(case):
+        argv = shlex.split(case)
         command = next((a for a in argv if not a.startswith("-")), "qtmpair")   # --help: qtmpair
-        row = summary.setdefault(command, {"cases": 0, "new": 0, "moved": 0, "cells": 0,
-                                           "largest": 0.0, "texts": []})
+        return summary.setdefault(command, {"cases": 0, "new": 0, "dropped": 0, "moved": 0,
+                                            "cells": 0, "largest": 0.0, "texts": []})
+
+    kept = {record["case"] for record in new_records}
+    for case in old:
+        if case not in kept:
+            row = row_of(case)
+            row["dropped"] += 1
+            row["texts"].append(f"dropped: {case}")
+    for record in new_records:
+        row = row_of(record["case"])
         row["cases"] += 1
         if record["case"] not in old:
             row["new"] += 1
@@ -185,7 +197,8 @@ def report(old_records, new_records):
                                     f"      {' ' * len(name)}  -> {b!r}")
     lines = []
     for command, row in sorted(summary.items()):
-        lines.append(f"{command}: {row['cases']} cases, {row['new']} new, {row['moved']} moved, "
+        lines.append(f"{command}: {row['cases']} cases, {row['new']} new, "
+                     f"{row['dropped']} dropped, {row['moved']} moved, "
                      f"{row['cells']} cells moved, largest numeric move {row['largest']:.3g}")
         lines += [f"  {text}" for text in row["texts"]]
     return "\n".join(lines)

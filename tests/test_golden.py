@@ -1,31 +1,46 @@
 """The golden CLI corpus: every case of tests/golden/cases.txt against its record.
 
-``spectrum-ua``, ``extract``, ``synth`` and ``fit`` output, every exit code and all
-stderr must match byte for byte; ``eigen``, ``spectrum-field`` and ``evolve`` tables
-cell by cell within the tolerances of ``tests/golden/regen.py``.  After a deliberate
-change, ``python tests/golden/regen.py`` rewrites the record and reports what moved.
+Each case is its own test, named by its argument line.  ``spectrum-ua``, ``extract``,
+``synth`` and ``fit`` output, every exit code and all stderr must match byte for byte;
+``eigen``, ``spectrum-field`` and ``evolve`` tables cell by cell within the tolerances of
+``regen.py``, which rewrites the record after a deliberate change and reports what moved.
 """
 
 import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 _spec = importlib.util.spec_from_file_location(
     "golden_regen", Path(__file__).resolve().parent / "golden" / "regen.py")
 regen = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regen)
+CASES = regen.load_cases()
+RECORD = {record["case"]: record for record in json.loads(regen.EXPECTED.read_text("utf-8"))}
 
 
-def test_cli_output_matches_the_golden_corpus(tmp_path):
-    expected = json.loads(regen.EXPECTED.read_text(encoding="utf-8"))
-    cases = regen.load_cases()
-    assert [record["case"] for record in expected] == cases, "run tests/golden/regen.py"
-    problems = [
-        f"{record['case']}\n  " + "\n  ".join(found)
-        for record, actual in zip(expected, regen.run_cases(tmp_path, cases))
-        if (found := regen.mismatches(record, actual))
-    ]
-    assert not problems, "\n".join(problems)
+@pytest.fixture(scope="module")
+def actual(tmp_path_factory):
+    """Every case run once, in order, in one directory, so later cases read earlier files."""
+    return dict(zip(CASES, regen.run_cases(tmp_path_factory.mktemp("golden"), CASES)))
+
+
+def test_record_lists_every_case_in_order():
+    assert list(RECORD) == CASES, "run tests/golden/regen.py"
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_cli_output_matches_the_golden_corpus(actual, case):
+    assert not (problems := regen.mismatches(RECORD[case], actual[case])), "\n".join(problems)
+
+
+def test_report_names_a_case_that_the_new_record_drops():
+    kept = dict(case="eigen --u 1 --a 1 --mu-y 1", exit=0, stdout="", stderr="", files={})
+    assert regen.report([kept, {**kept, "case": "extract --delta 7"}], [kept]).splitlines() == [
+        "eigen: 1 cases, 0 new, 0 dropped, 0 moved, 0 cells moved, largest numeric move 0",
+        "extract: 0 cases, 0 new, 1 dropped, 0 moved, 0 cells moved, largest numeric move 0",
+        "  dropped: extract --delta 7"]
 
 
 def test_tolerant_comparison_accepts_rounding_and_nothing_more():

@@ -698,6 +698,52 @@ def test_small_fields_shift_the_ground_level_at_second_order():
         assert np.mean(np.abs(expected[:, 1]) > 1e3 * floor) > 0.5     # the shift is resolved
 
 
+@pytest.mark.parametrize("u", [10.0, 40.0, 190.0])
+def test_field_sweep_follows_the_second_order_curvature_along_y(u):
+    """Rows 1-5 of a sweep to 0.05 B_Zt against lambda1 - beta^2 e2^2 / (U - lambda1).
+
+    Along y the ground state couples only to (|2> - |2bar>)/sqrt(2) at U, and that
+    one to the top state, with elements beta*e2 and alpha*e2.  The first neglected
+    terms are relative (e2 / (U - lambda1))^2 twice over (the level moves, and the
+    top state pushes back), so the bound is 3 (e2 / (U - lambda1))^2 of the shift,
+    at most 0.75 % here, plus rounding.
+    """
+    params = ModelParams(u=u, a=1.0, mu_x=4.0, mu_y=10.0)
+    zero = zero_field_eigensystem(params)
+    ground, beta2 = zero.values[0], 2.0 * zero.vectors[2, 0] ** 2
+    table = sweep_field(params, 0.05, 6)
+    by = table.axis_values[1:] * u / (2.0 * params.mu_y * MU_B_OVER_K_B)
+    e2 = 2.0 * params.mu_y * by * MU_B_OVER_K_B
+    shift = -beta2 * e2**2 / (u - ground)
+    bound = 3.0 * (e2 / (u - ground)) ** 2 * np.abs(shift) + 16.0 * np.finfo(float).eps * u
+    error = np.abs(table.eigenvalues[1:, 0] - (ground + shift))
+    assert (error <= bound).all(), error / np.abs(shift)
+
+
+@pytest.mark.parametrize("u, scales", [(10.0, (0.01, 1.0)), (40.0, (0.01, 1.0, 30.0)),
+                                       (190.0, (0.01, 1.0, 30.0))])
+def test_field_along_x_opens_an_avoided_crossing_set_by_the_gap(u, scales):
+    """The two lowest levels at e1 = scale * Delta along x against the two-level form
+    lambda1/2 -+ sqrt(lambda1^2/4 + alpha^2 e1^2), for U > 0 (level 0 is the second).
+
+    Along x the ground state couples only to (|1> - |1bar>)/sqrt(2) at 0, with element
+    alpha*e1, and that one to the top state at lambda4 = U - lambda1, with beta*e1.  The
+    top state lowers the level at 0 by beta^2 e1^2 / (lambda4 - E) at most, E below the
+    upper two-level root, which is below e1; so the bound is beta^2 e1^2 / (lambda4 - e1)
+    plus rounding.  At U/A = 10 the largest scale stays far below U.
+    """
+    params = ModelParams(u=u, a=1.0, mu_x=4.0, mu_y=10.0)
+    zero = zero_field_eigensystem(params)
+    ground, top = zero.values[0], zero.values[3]
+    alpha2, beta2 = 2.0 * zero.vectors[0, 0] ** 2, 2.0 * zero.vectors[2, 0] ** 2
+    e1 = np.array(scales) * -ground
+    levels = eigensystem(hamiltonian_stack(params, bx=e1 / (2.0 * params.mu_x * MU_B_OVER_K_B)))
+    root = np.sqrt(ground**2 / 4.0 + alpha2 * e1**2)
+    error = np.abs(levels.values[:, :2] - np.column_stack([ground / 2 - root, ground / 2 + root]))
+    bound = beta2 * e1**2 / (top - e1) + 16.0 * np.finfo(float).eps * top
+    assert (error <= bound[:, None]).all(), error / -ground
+
+
 # ---------------------------------------------------------------- evolve
 
 def test_evolve_identity_at_zero_time():
@@ -815,13 +861,13 @@ def test_evolve_follows_the_content_of_h():
     assert not np.allclose(before, after)
     integer = np.array([[0, -1, 0, -1], [-1, 0, -1, 0], [0, -1, 3, 0], [-1, 0, 0, 5]])
     expected = memo_free_evolve(initial, integer.astype(float), 0.7)
-    for matrix in (integer, integer.astype(float), integer):
+    for matrix in (integer, integer.astype(float), integer.astype(object), integer):
         np.testing.assert_array_equal(evolve(initial, matrix, 0.7), expected)
 
 
 def test_evolve_memo_is_read_only_and_never_handed_out():
     h = build_hamiltonian(P10, FieldVector(bx=0.2, by=0.1))
-    for array in model._spectrum(h.tobytes())[:2]:
+    for array in model._spectrum(h.tobytes(), h.dtype)[:2]:
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0

@@ -642,6 +642,8 @@ def test_dataset_csv_located_messages_with_mode_first(rows, message):
 # ------------------------------------------------------ rejected arguments
 
 TWO_STATES = np.tile(basis_state("1"), (2, 1))
+# Hermitian, with levels 0.382, 2.618, 3 and 4; its real part alone has 1, 2, 3 and 4
+HERMITIAN = np.diag([1.0, 2.0, 3.0, 4.0]) + np.pad([[0.0, 1j], [-1j, 0.0]], (0, 2))
 
 
 @pytest.mark.parametrize(
@@ -653,12 +655,16 @@ TWO_STATES = np.tile(basis_state("1"), (2, 1))
          "expected a 4x4 matrix or a stack of them, got shape (4,)"),
         (lambda: eigensystem(0.0), ValueError,
          "expected a 4x4 matrix or a stack of them, got shape ()"),
+        (lambda: eigensystem(HERMITIAN), ValueError,
+         "Hamiltonian must be real, got complex128 entries"),
         (lambda: basis_state("3"), ValueError,
          "unknown basis label '3', expected one of ('1', '1bar', '2', '2bar')"),
         (lambda: evolve(TWO_STATES, np.eye(4), 1.0), ValueError,
          "evolve takes one state (4,) and one 4x4 Hamiltonian, got shapes (2, 4) and (4, 4)"),
         (lambda: evolve(basis_state("1"), np.zeros((2, 4, 4)), 1.0), ValueError,
          "evolve takes one state (4,) and one 4x4 Hamiltonian, got shapes (4,) and (2, 4, 4)"),
+        (lambda: evolve(basis_state("1"), HERMITIAN, 1.0), ValueError,
+         "Hamiltonian must be real, got complex128 entries"),
         (lambda: fit(synthesize(SINGLE, GRID_30, 0.0), 1.5), ValueError,
          "n_processes must be an integer in 1..4, got 1.5"),
         (lambda: fit(synthesize(SINGLE, GRID_30, 0.0), 2.0), ValueError,
@@ -671,9 +677,10 @@ TWO_STATES = np.tile(basis_state("1"), (2, 1))
         (lambda: parse_dataset_csv("T_K,tau_s\n\n , \n"), ValueError,
          "dataset must contain at least one point"),
     ],
-    ids=["eigensystem-3x3", "eigensystem-vector", "eigensystem-scalar", "basis-label",
-         "evolve-states", "evolve-matrices", "fit-fractional-processes", "fit-float-processes",
-         "model-type", "dataset-type", "csv-blank-rows"],
+    ids=["eigensystem-3x3", "eigensystem-vector", "eigensystem-scalar", "eigensystem-complex",
+         "basis-label", "evolve-states", "evolve-matrices", "evolve-complex",
+         "fit-fractional-processes", "fit-float-processes", "model-type", "dataset-type",
+         "csv-blank-rows"],
 )
 def test_library_rejects_malformed_arguments(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
