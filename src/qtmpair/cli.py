@@ -12,6 +12,7 @@ shortest round-trip decimals.
 
 import argparse
 import functools
+import gc
 import re
 import sys
 
@@ -371,5 +372,14 @@ def main(argv=None):
     return EXIT_OK
 
 
+def run():
+    """Process entry (``qtmpair``, ``python -m qtmpair.cli``): exit with ``main``'s code.
+    ``main`` leaves the collector alone for callers that run it many times in one process."""
+    try:
+        sys.exit(main())
+    finally:    # argparse's SystemExit too; shutdown's collections skip the ~21k frozen objects
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -2,8 +2,10 @@
 
 
 class Record:
-    """Read-only fields named in ``__slots__``, set by ``__init__`` through ``_init``; equal
-    and hashed by value; pickled and copied through ``__init__``, so checked again."""
+    """Read-only fields named in ``__slots__``, set by ``__init__`` through ``_init``; pickled
+    and copied through ``__init__``, so checked again.  ``==`` and ``hash`` use the field tuple:
+    by value for scalars, while a NumPy array of more than one element cannot be hashed and makes
+    ``==`` raise NumPy's ambiguity error unless both records hold the same array object."""
 
     __slots__ = ()
 

@@ -39,31 +39,38 @@ def load_cases():
     return [line for line in lines if line.strip() and not line.startswith("#")]
 
 
-def run_cases(workdir, cases):
-    """Run ``cases`` in order inside ``workdir``; one record per case."""
+def _in_process(argv):
+    """Exit code, stdout and stderr of ``qtmpair.cli.main(argv)`` run in this process."""
     from qtmpair import cli
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_cases(workdir, cases, call=_in_process):
+    """Run ``cases`` in order inside ``workdir``; one record per case.  ``call(argv)`` returns
+    the exit code, stdout and stderr of one call, by default of ``cli.main`` in this process."""
     shutil.copytree(INPUTS, workdir, dirs_exist_ok=True)
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
         with mock.patch.dict(os.environ, COLUMNS="80"):     # argparse wraps help to this width
-            return [_run(cli.main, case) for case in cases]
+            return [_run(call, case) for case in cases]
     finally:
         os.chdir(cwd)
 
 
-def _run(main, case):
+def _run(call, case):
     argv = shlex.split(case)
     targets = [b for a, b in zip(argv, argv[1:]) if a in ("--output", "--curve-output")]
     before = {name: _read(name) for name in targets}
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exit_:
-            code = exit_.code
+    code, out, err = call(argv)
     written = {name: _read(name) for name in targets}
-    return {"case": case, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
+    return {"case": case, "exit": code, "stdout": out, "stderr": err,
             "files": {name: text for name, text in written.items() if text != before[name]}}
 
 

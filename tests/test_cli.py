@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtmpair.cli import build_parser, main
+from qtmpair.cli import build_parser, main, run
 from qtmpair.relaxation import load_dataset, parse_dataset_csv
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,6 +49,30 @@ def test_help_exits_zero_and_documents_units(capsys):
 
 def test_one_parser_serves_every_call():
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["extract", "--delta", "0.34"], 0),
+    (["fit", "--input", "bad.csv", "--processes", "1"], 3),    # a DatasetError
+    (["eigen", "--u", "1"], 2),                                # argparse's SystemExit
+])
+def test_run_freezes_the_collector_once_and_main_never(capsys, tmp_path, monkeypatch, argv, code):
+    # a spy: freezing this process would keep the rest of the session's garbage for good
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.csv").write_text("x,y\n")
+
+    def exit_code(call, *args):
+        try:
+            return call(*args)
+        except SystemExit as exc:
+            return exc.code
+
+    assert (exit_code(main, argv), frozen) == (code, [])
+    monkeypatch.setattr(sys, "argv", ["qtmpair", *argv])
+    assert (exit_code(run), frozen) == (code, [True])
+    capsys.readouterr()
 
 
 # ------------------------------------------------------------ spectrum-ua

@@ -4,10 +4,14 @@ Each case is its own test, named by its argument line.  ``spectrum-ua``, ``extra
 ``synth`` and ``fit`` output, every exit code and all stderr must match byte for byte;
 ``eigen``, ``spectrum-field`` and ``evolve`` tables cell by cell within the tolerances of
 ``regen.py``, which rewrites the record after a deliberate change and reports what moved.
+A few cases also run through ``python -m qtmpair.cli``, the process entry ``cli.run``.
 """
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +22,7 @@ regen = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regen)
 CASES = regen.load_cases()
 RECORD = {record["case"]: record for record in json.loads(regen.EXPECTED.read_text("utf-8"))}
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +38,26 @@ def test_record_lists_every_case_in_order():
 @pytest.mark.parametrize("case", CASES)
 def test_cli_output_matches_the_golden_corpus(actual, case):
     assert not (problems := regen.mismatches(RECORD[case], actual[case])), "\n".join(problems)
+
+
+def _process(argv):
+    proc = subprocess.run([sys.executable, "-m", "qtmpair.cli", *argv], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
+
+
+@pytest.mark.parametrize("case", [
+    "spectrum-ua --min 0 --max 20 --points 21",
+    "fit --input bom.csv --processes 2 --output bom_fit.json --curve-output bom_curve.csv",
+    "spectrum-ua --min 3 --max 1 --points 5",       # a usage error, exit 2
+    "fit --input bad_header.csv --processes 2",     # a DatasetError, exit 3
+    "--help",
+])
+def test_process_entry_matches_the_golden_corpus(tmp_path, case):
+    """``python -m qtmpair.cli``, the way scripts call it: exit codes, stdio and files of
+    ``cli.run``'s process path, which no in-process case reaches."""
+    [record] = regen.run_cases(tmp_path, [case], _process)
+    assert not (problems := regen.mismatches(RECORD[case], record)), "\n".join(problems)
 
 
 def test_report_names_a_case_that_the_new_record_drops():
