@@ -83,7 +83,8 @@ def sweep_field(params, max_field_ratio, n_points):
     fractions = _grid(0.0, max_field_ratio, n_points)
     b_zt = zeeman_threshold(params)
     if b_zt == 0.0:
-        raise ValueError("field scale B_Zt vanishes for u = 0; field sweep is undefined")
+        cause = "for u = 0" if params.u == 0 else f"at u = {params.u}, mu_y = {params.mu_y}"
+        raise ValueError(f"field scale B_Zt vanishes {cause}; field sweep is undefined")
     if not math.isfinite(float(max_field_ratio) * b_zt):    # then every fraction * b_zt is
         raise ValueError(f"sweep end {max_field_ratio} * B_Zt = {b_zt} T exceeds float64")
     es = eigensystem(hamiltonian_stack(params, by=fractions * b_zt))
@@ -146,7 +147,7 @@ def tunneling_from_splitting(delta, u=None, mode="exact"):
             raise ValueError(f"exact inversion requires a finite u >= 0, got {u}")
         delta, u = float(delta), float(u)    # Python floats overflow to inf without a warning
         product = delta * (delta + u)
-        if math.isfinite(product):
+        if np.finfo(float).tiny <= product < math.inf:    # else it overflowed or lost digits
             return math.sqrt(product) / 2.0
         return math.sqrt(delta) * math.sqrt(delta / 4.0 + u / 4.0)
     raise ValueError(f"mode must be 'paper' or 'exact', got {mode!r}")

@@ -153,7 +153,7 @@ def test_c05_hellmann_feynman():
     b_zt = zeeman_threshold(P10)
     step = 1e-5
     worst = 0.0
-    for frac in (0.2, 0.4, 0.6, 0.8, 1.3, 1.6, 1.9):
+    for frac in (0.2, 0.4, 0.5, 0.6, 0.8, 1.3, 1.4, 1.6, 1.8, 1.9):
         by = frac * b_zt
         es = eigensystem(build_hamiltonian(P10, FieldVector(by=by)))
         lo = eigensystem(build_hamiltonian(P10, FieldVector(by=by - step))).values
