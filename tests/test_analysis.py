@@ -14,7 +14,7 @@ from qtmpair.analysis import (
     zeeman_threshold,
 )
 from qtmpair.constants import MU_B_OVER_K_B
-from qtmpair.model import ModelParams
+from qtmpair.model import FieldVector, ModelParams, build_hamiltonian
 
 P10 = ModelParams(u=10.0, a=1.0, mu_x=10.0, mu_y=10.0)
 
@@ -71,6 +71,39 @@ def test_field_sweep_rows_are_continuous():
     step_kelvin = 2.0 * P10.mu_y * MU_B_OVER_K_B * (2.0 * b_zt / (n - 1))
     jumps = np.abs(np.diff(table.eigenvalues, axis=0))
     assert jumps.max() <= 2.0 * step_kelvin
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        P10,
+        ModelParams(u=-10.0, a=1.0, mu_x=10.0, mu_y=10.0),
+        ModelParams(u=3.0, a=2.0, mu_x=4.0, mu_y=9.0),
+        ModelParams(u=0.5, a=1.0, mu_x=1.0, mu_y=1.0),
+        ModelParams(u=40.0, a=0.3, mu_x=0.5, mu_y=7.0),
+        ModelParams(u=190.0, a=1.0, mu_x=10.0, mu_y=10.0),
+        ModelParams(u=1e-3, a=1e-4, mu_x=2.0, mu_y=3.0),
+    ],
+    ids=["ratio10", "negative-u", "mu-anisotropic", "tunneling-dominated", "ratio133",
+         "ratio190", "millikelvin"],
+)
+def test_field_sweep_ground_moments_match_the_field_derivative(params):
+    # oracle: -<g|dH/dB|g> of the ground vector of a dense eigh at each field, with
+    # dH/dB the difference of two single-field Hamiltonians (H is linear in B)
+    table = sweep_field(params, 2.0, 41)
+    b_zt = zeeman_threshold(params)
+    h0 = build_hamiltonian(params)
+    dh_dx = build_hamiltonian(params, FieldVector(bx=1.0)) - h0
+    dh_dy = build_hamiltonian(params, FieldVector(by=1.0)) - h0
+    oracle = []
+    for fraction in table.axis_values:
+        ground = np.linalg.eigh(build_hamiltonian(params, FieldVector(by=fraction * b_zt)))[1][:, 0]
+        oracle.append([-(ground @ dh_dx @ ground), -(ground @ dh_dy @ ground)])
+    np.testing.assert_allclose(
+        table.ground_moments, np.array(oracle) / MU_B_OVER_K_B,
+        rtol=0.0, atol=1e-10 * max(params.mu_x, params.mu_y),
+    )
+    assert np.all(table.ground_moments[:, 0] == 0.0)
 
 
 def test_field_sweep_rejects_zero_u():
