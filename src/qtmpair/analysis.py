@@ -102,7 +102,10 @@ def _grid(start, stop, n_points):
     if not (isinstance(n_points, (int, np.integer)) and n_points >= 2):
         raise ValueError(f"n_points must be an integer >= 2, got {n_points}")
     with np.errstate(over="ignore"):    # (n - 1) * step may round past float64; the end is stop
-        return np.linspace(start, stop, n_points)
+        grid = np.linspace(start, stop, n_points)
+    if not (grid[1:] > grid[:-1]).all():    # compared, not subtracted: a step may overflow
+        raise ValueError(f"{n_points} points from {start} to {stop} repeat a float64 value")
+    return grid
 
 
 def zeeman_threshold(params):

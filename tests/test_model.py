@@ -22,6 +22,8 @@ from qtmpair.model import (
     zero_field_eigensystem,
 )
 
+from test_acceptance import clusters
+
 P10 = ModelParams(u=10.0, a=1.0, mu_x=10.0, mu_y=10.0)
 B_ZT = 10.0 / (2.0 * 10.0 * MU_B_OVER_K_B)
 
@@ -40,19 +42,6 @@ def closed_form_values(u, a):
 def projector(es, indices):
     v = es.vectors[:, list(indices)]
     return v @ v.T
-
-
-def cluster_indices(values, gap=1e-3):
-    """Group sorted eigenvalues into degenerate clusters."""
-    clusters, current = [], [0]
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] <= gap:
-            current.append(i)
-        else:
-            clusters.append(current)
-            current = [i]
-    clusters.append(current)
-    return clusters
 
 
 # ---------------------------------------------------------------- builder
@@ -264,7 +253,7 @@ def test_lapack_matches_jacobi_oracle_on_random_fields():
         np.testing.assert_allclose(values, ref_values, rtol=0.0, atol=1e-12 * scale)
         # levels closer than 1e-6 |H| are grouped: their individual vectors
         # are determined only to eps |H| / gap
-        for cluster in cluster_indices(ref_values, gap=1e-6 * scale):
+        for cluster in clusters(ref_values, gap=1e-6 * scale):
             np.testing.assert_allclose(
                 vectors[:, cluster] @ vectors[:, cluster].T,
                 ref_vectors[:, cluster] @ ref_vectors[:, cluster].T,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtmpair.analysis import sweep_field
+from qtmpair.analysis import sweep_field, sweep_ratio
 from qtmpair.model import ModelParams, basis_state, eigensystem, evolve
 from qtmpair.reference import DY2S_C82, TB2SCN_C80
 from qtmpair.relaxation import (
@@ -658,11 +658,14 @@ HERMITIAN = np.diag([1.0, 2.0, 3.0, 4.0]) + np.pad([[0.0, 1j], [-1j, 0.0]], (0, 
         (lambda: sweep_field(ModelParams(u=1e-300, a=1.0, mu_x=1.0, mu_y=1e300), 2.0, 3),
          ValueError,
          "field scale B_Zt vanishes at u = 1e-300, mu_y = 1e+300; field sweep is undefined"),
+        # the range holds two float64 values, so a 4-point grid would repeat them
+        (lambda: sweep_ratio(1.0, 1.0000000000000002, 4), ValueError,
+         "4 points from 1.0 to 1.0000000000000002 repeat a float64 value"),
     ],
     ids=["eigensystem-3x3", "eigensystem-vector", "eigensystem-scalar", "eigensystem-complex",
          "basis-label", "evolve-states", "evolve-matrices", "evolve-complex",
          "fit-fractional-processes", "fit-float-processes", "model-type", "dataset-type",
-         "csv-blank-rows", "sweep-field-threshold-underflow"],
+         "csv-blank-rows", "sweep-field-threshold-underflow", "sweep-ratio-repeated-grid"],
 )
 def test_library_rejects_malformed_arguments(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
