@@ -454,6 +454,15 @@ def test_closed_form_no_splitting():
     np.testing.assert_array_equal(cf.values, [0.0, 0.0, 10.0, 10.0])
 
 
+@pytest.mark.parametrize("u", [10.0, 0.0, -15.0])
+def test_closed_form_without_tunneling_gives_the_numeric_basis_states(u):
+    # A = 0: H = diag(0, 0, U, U), and the lower doublet's basis states come first
+    params = ModelParams(u=u, a=0.0, mu_x=10.0, mu_y=10.0)
+    cf, numeric = zero_field_eigensystem(params), eigensystem(hamiltonian_stack(params))
+    np.testing.assert_allclose(cf.values, numeric.values, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(cf.vectors, numeric.vectors, rtol=0.0, atol=1e-15)
+
+
 def test_closed_form_degenerate_doublets_at_zero_u():
     cf = zero_field_eigensystem(ModelParams(u=0.0, a=1.0, mu_x=10.0, mu_y=10.0))
     np.testing.assert_allclose(cf.values, [-2.0, 0.0, 0.0, 2.0], atol=1e-15)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtmpair.analysis import sweep_field, sweep_ratio
+from qtmpair.analysis import sweep_field, sweep_ratio, tunneling_from_splitting
 from qtmpair.model import ModelParams, basis_state, eigensystem, evolve
 from qtmpair.reference import DY2S_C82, TB2SCN_C80
 from qtmpair.relaxation import (
@@ -609,8 +609,10 @@ def test_dataset_csv_reads_cells_by_column_position():
         ("1.0,,DC,0.1\n", "line 2, column tau_s: could not convert string to float: ''"),
         ("1.0,2.0,DC,-0.1\n", "line 2: sigma_ln_tau must be positive when given, got -0.1"),
         ('1.0,2.0,"a""b",0.1\n', "line 2: mode tag 'a\"b' cannot be written to CSV unchanged"),
+        ("0,2.0,DC,0.1\n", "line 2: temperature must be positive, got 0.0"),
     ],
-    ids=["extra-cell", "one-cell-row", "bad-sigma", "empty-tau", "negative-sigma", "quoted-tag"],
+    ids=["extra-cell", "one-cell-row", "bad-sigma", "empty-tau", "negative-sigma", "quoted-tag",
+         "zero-temperature"],
 )
 def test_dataset_csv_located_messages_with_mode_first(rows, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -661,11 +663,14 @@ HERMITIAN = np.diag([1.0, 2.0, 3.0, 4.0]) + np.pad([[0.0, 1j], [-1j, 0.0]], (0, 
         # the range holds two float64 values, so a 4-point grid would repeat them
         (lambda: sweep_ratio(1.0, 1.0000000000000002, 4), ValueError,
          "4 points from 1.0 to 1.0000000000000002 repeat a float64 value"),
+        (lambda: tunneling_from_splitting(0.3, u=math.nan, mode="exact"), ValueError,
+         "exact inversion requires a finite u >= 0, got nan"),
     ],
     ids=["eigensystem-3x3", "eigensystem-vector", "eigensystem-scalar", "eigensystem-complex",
          "basis-label", "evolve-states", "evolve-matrices", "evolve-complex",
          "fit-fractional-processes", "fit-float-processes", "model-type", "dataset-type",
-         "csv-blank-rows", "sweep-field-threshold-underflow", "sweep-ratio-repeated-grid"],
+         "csv-blank-rows", "sweep-field-threshold-underflow", "sweep-ratio-repeated-grid",
+         "exact-inversion-nan-u"],
 )
 def test_library_rejects_malformed_arguments(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
