@@ -200,11 +200,14 @@ def eigensystem(h):
     if h.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix or a stack of them, got shape {h.shape}")
     if not (np.abs(h) <= MAX_ENTRY).all():     # NaN fails too
-        if not np.isfinite(h).all():
-            raise ValueError("Hamiltonian has non-finite entries")
-        raise ValueError(f"Hamiltonian entry {np.abs(h).max()} exceeds {MAX_ENTRY} in magnitude")
+        i = _first(~(np.abs(h) <= MAX_ENTRY).all(axis=(-2, -1)))     # () for one matrix
+        bad, at = np.abs(h[i]), f" at index {i}" if h.ndim > 2 else ""
+        if not np.isfinite(bad).all():
+            raise ValueError(f"Hamiltonian has non-finite entries{at}")
+        raise ValueError(f"Hamiltonian entry {bad.max()} exceeds {MAX_ENTRY} in magnitude{at}")
     if not (h == np.swapaxes(h, -1, -2)).all():
-        raise ValueError("matrix is not symmetric")
+        i = _first(~(h == np.swapaxes(h, -1, -2)).all(axis=(-2, -1)))
+        raise ValueError("matrix is not symmetric" + (f" at index {i}" if h.ndim > 2 else ""))
     # In the parity basis the model is a tridiagonal chain, diagonal (0, 0, U, U),
     # with the difference states at its ends.  Where h commutes with a doublet
     # swap, that state's row and column are exact zeros; the exact level and

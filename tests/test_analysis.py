@@ -44,12 +44,6 @@ def test_ratio_sweep_endpoint_semantics():
 
 
 def test_ratio_sweep_rejects_bad_range():
-    with pytest.raises(ValueError):
-        sweep_ratio(5.0, 5.0, 10)
-    with pytest.raises(ValueError):
-        sweep_ratio(0.0, 10.0, 1)
-    with pytest.raises(ValueError, match="^ratio range -1e[+]308 to 1e[+]308 exceeds float64$"):
-        sweep_ratio(-1e308, 1e308, 3)
     for n_points in (math.inf, math.nan, 3.0):
         with pytest.raises(ValueError, match=f"^n_points must be an integer >= 2, got {n_points}$"):
             sweep_ratio(0.0, 1.0, n_points)
@@ -104,11 +98,6 @@ def test_field_sweep_ground_moments_match_the_field_derivative(params):
         rtol=0.0, atol=1e-10 * max(params.mu_x, params.mu_y),
     )
     assert np.all(table.ground_moments[:, 0] == 0.0)
-
-
-def test_field_sweep_rejects_zero_u():
-    with pytest.raises(ValueError):
-        sweep_field(ModelParams(u=0.0, a=1.0, mu_x=10.0, mu_y=10.0), 2.0, 11)
 
 
 def test_sweeps_reach_the_float64_edge_without_a_warning():
@@ -193,15 +182,9 @@ def test_scalars_stay_finite_or_raise_near_the_float64_limit():
         np.testing.assert_allclose(
             ground_splitting(ModelParams(u=u, a=a, mu_x=1.0, mu_y=1.0)), gap, rtol=1e-15
         )
-    with pytest.raises(ValueError, match="^ground splitting exceeds float64 at u = 1.0, a = 1e"):
-        ground_splitting(ModelParams(u=1.0, a=1e308, mu_x=1.0, mu_y=1.0))
     np.testing.assert_allclose(tunneling_from_splitting(1e200, u=1.0), 5e199, rtol=1e-15)
     np.testing.assert_allclose(tunneling_from_splitting(1e308, u=1e308), 1e308 / 2**0.5,
                                rtol=1e-15)
-    with pytest.raises(ValueError, match="got 1e[+]308$"):
-        kelvin_to_gigahertz(1e308)
-    with pytest.raises(ValueError, match="^threshold field exceeds float64 at u = 1e[+]308"):
-        zeeman_threshold(ModelParams(u=1e308, a=1.0, mu_x=1.0, mu_y=1e-300))
 
 
 def test_exact_extraction_round_trip():
@@ -234,20 +217,7 @@ def test_extraction_conventions_diverge_in_protected_regime():
         np.testing.assert_allclose(exact / quarter, ratio, rtol=0.01)
 
 
-def test_extraction_rejects_bad_input():
-    with pytest.raises(ValueError):
-        tunneling_from_splitting(-0.1, mode="paper")
-    with pytest.raises(ValueError):
-        tunneling_from_splitting(0.3, mode="exact")
-    with pytest.raises(ValueError):
-        tunneling_from_splitting(0.3, u=-1.0, mode="exact")
-    with pytest.raises(ValueError):
-        tunneling_from_splitting(0.3, u=1.0, mode="fast")
-
-
 def test_frequency_conversion():
     assert kelvin_to_gigahertz(1.0) == 20.836619
     assert kelvin_to_gigahertz(0.0) == 0.0
     np.testing.assert_allclose(kelvin_to_gigahertz(0.97), 20.21152043, rtol=1e-9)
-    with pytest.raises(ValueError):
-        kelvin_to_gigahertz(float("nan"))

@@ -101,17 +101,6 @@ def test_general_field_diagonal():
     np.testing.assert_array_equal(h, h.T)
 
 
-def test_rejects_nonfinite_inputs():
-    with pytest.raises(ValueError):
-        ModelParams(u=np.nan, a=1.0, mu_x=10.0, mu_y=10.0)
-    with pytest.raises(ValueError):
-        ModelParams(u=10.0, a=-1.0, mu_x=10.0, mu_y=10.0)
-    with pytest.raises(ValueError):
-        ModelParams(u=10.0, a=1.0, mu_x=10.0, mu_y=0.0)
-    with pytest.raises(ValueError):
-        FieldVector(by=np.inf)
-
-
 def test_integer_parameters_equal_float_parameters():
     """Integer fields are coerced to float: every public function gives the
     arrays that the same float parameters give, bit for bit."""
@@ -173,29 +162,6 @@ def test_stack_matches_single_field_hamiltonian():
     assert along_y.shape == (3, 5, 4, 4)
     np.testing.assert_array_equal(along_y[1, 2], build_hamiltonian(P10, FieldVector(by=by[1, 2])))
     np.testing.assert_array_equal(hamiltonian_stack(P10), build_hamiltonian(P10))
-
-
-def test_zeeman_overflow_is_rejected_with_the_field():
-    with pytest.raises(ValueError, match="by=1e"):
-        build_hamiltonian(P10, FieldVector(by=1e308))
-    with pytest.raises(ValueError, match="bx=1e"):
-        hamiltonian_stack(P10, np.array([0.0, 1e308]), 0.0)
-
-
-def test_rejects_nonfinite_matrix():
-    h = build_hamiltonian(P10)
-    h[2, 3] = h[3, 2] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        eigensystem(h)
-    with pytest.raises(ValueError, match="non-finite"):
-        eigensystem(np.stack([build_hamiltonian(P10), np.full((4, 4), np.inf)]))
-
-
-def test_rejects_asymmetric_matrix():
-    h = build_hamiltonian(P10)
-    h[0, 1] = 0.5
-    with pytest.raises(ValueError, match="symmetric"):
-        eigensystem(h)
 
 
 def test_canonical_sign_convention():
@@ -615,7 +581,8 @@ def test_moment_rejects_unnormalized_state():
 def test_moments_beyond_max_entry_are_rejected():
     # 2 * mu overflowed: a zero field was reported as not finite, and mx came back NaN
     for mu_x, mu_y, name in ((1e308, 1.0, "mu_x"), (1.0, 1e308, "mu_y")):
-        with pytest.raises(ValueError, match=f"^moment {name} must be at most 4.49.*, got 1e.308$"):
+        message = f"moment {name} must be at most 4.4942328371557893e+307, got 1e+308"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ModelParams(u=1.0, a=1.0, mu_x=mu_x, mu_y=mu_y)
     edge = ModelParams(u=1.0, a=1.0, mu_x=model.MAX_ENTRY, mu_y=model.MAX_ENTRY)
     assert moment_expectation(basis_state("1bar"), edge) == (-2.0 * model.MAX_ENTRY, 0.0)
@@ -881,11 +848,12 @@ def test_norm_tolerance_boundary():
     """The population-based check keeps the norm semantics: |norm - 1| <= 1e-9."""
     rng = np.random.default_rng(31)
     h = build_hamiltonian(P10, FieldVector(bx=0.2, by=0.1))
+    message = r" is not normalized \(\|norm - 1\| = 2.000e-09\)$"
     for call in (lambda s: moment_expectation(s, P10), lambda s: evolve(s, h, 0.5)):
         for scale in (1.0 - 0.5e-9, 1.0 + 0.5e-9):
             call(scale * random_state(rng))
         for scale in (1.0 - 2e-9, 1.0 + 2e-9):
-            with pytest.raises(ValueError, match="^state is not normalized"):
+            with pytest.raises(ValueError, match="^state" + message):
                 call(scale * random_state(rng))
     for scale in (1.0 - 0.5e-9, 1.0 + 0.5e-9):
         moment_expectation(scale * random_state(rng, (3,)), P10)
@@ -893,7 +861,7 @@ def test_norm_tolerance_boundary():
         states = random_state(rng, (3,))
         states[2] *= scale
         for call in (lambda s: moment_expectation(s, P10), lambda s: evolve(s, h, 0.5)):
-            with pytest.raises(ValueError, match="^state 2 is not normalized"):
+            with pytest.raises(ValueError, match="^state 2" + message):
                 call(states)
 
 
@@ -911,16 +879,17 @@ def test_evolve_rejects_nonfinite_times():
 def test_evolve_rejects_phases_beyond_float64():
     # each of these printed numpy overflow warnings, then "state 0 is not normalized (nan)"
     h_top = hamiltonian_stack(ModelParams(u=1e307, a=1.0, mu_x=1.0, mu_y=1.0))
-    with pytest.raises(ValueError, match=re.escape(
-            "phase rate of level 2 (9.999999999999999e+306 K) exceeds float64")):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "phase rate of level 2 (9.999999999999999e+306 K) exceeds float64") + "$"):
         evolve(basis_state("1"), h_top, 0.0)
     h = build_hamiltonian(P10, FieldVector(by=0.2))
     with pytest.raises(ValueError, match=r"^phase exceeds float64 at t = -1e\+306 ns$"):
         evolve(basis_state("1"), h, -1e306)
     with pytest.raises(ValueError, match=re.escape("at t = 1e+306 ns at index (1, 0)")):
         evolve(basis_state("1"), h, [[0.0, 1e300], [1e306, 1e306]])
-    for t in (np.nan, -np.inf, [1.0, np.inf]):      # with every level 0, max|rate| * t is NaN
-        with pytest.raises(ValueError, match="^time must be finite, got "):
+    # with every level 0, max|rate| * t is NaN
+    for t, got in ((np.nan, "nan"), (-np.inf, "-inf"), ([1.0, np.inf], "inf at index 1")):
+        with pytest.raises(ValueError, match=f"^time must be finite, got {got}$"):
             evolve(basis_state("1"), np.zeros((4, 4)), t)
     # at the edge, every accepted time gives the phases of the unchecked form
     top = 2.0 * np.pi * K_B_OVER_H_GHZ * np.abs(eigensystem(h).values).max()

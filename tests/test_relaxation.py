@@ -8,8 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtmpair.analysis import sweep_field, sweep_ratio, tunneling_from_splitting
-from qtmpair.model import ModelParams, basis_state, eigensystem, evolve
 from qtmpair.reference import DY2S_C82, TB2SCN_C80
 from qtmpair.relaxation import (
     ArrheniusProcess,
@@ -104,25 +102,20 @@ def test_evaluate_equals_per_channel_form():
 
 # ------------------------------------------------------------------ types
 
-def test_process_validation():
-    with pytest.raises(ValueError):
-        ArrheniusProcess(tau0=0.0, delta=1.0)
-    with pytest.raises(ValueError):
-        ArrheniusProcess(tau0=1.0, delta=-0.1)
-
-
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_every_field_rejects_nonfinite_values(value):
     """Each scalar field is checked for finiteness, and the message names it."""
     cases = [
-        ("prefactor tau0", lambda: ArrheniusProcess(tau0=value, delta=1.0)),
-        ("barrier delta", lambda: ArrheniusProcess(tau0=1.0, delta=value)),
-        ("temperature", lambda: LifetimePoint(t_kelvin=value, tau_s=1.0)),
-        ("lifetime", lambda: LifetimePoint(t_kelvin=1.0, tau_s=value)),
-        ("sigma_ln_tau", lambda: LifetimePoint(t_kelvin=1.0, tau_s=1.0, sigma_ln_tau=value)),
+        ("prefactor tau0 must be positive and finite",
+         lambda: ArrheniusProcess(tau0=value, delta=1.0)),
+        ("barrier delta must be >= 0 and finite", lambda: ArrheniusProcess(tau0=1.0, delta=value)),
+        ("temperature must be positive", lambda: LifetimePoint(t_kelvin=value, tau_s=1.0)),
+        ("lifetime must be positive", lambda: LifetimePoint(t_kelvin=1.0, tau_s=value)),
+        ("sigma_ln_tau must be positive when given",
+         lambda: LifetimePoint(t_kelvin=1.0, tau_s=1.0, sigma_ln_tau=value)),
     ]
-    for field, make in cases:
-        with pytest.raises(ValueError, match=f"^{field} must be .*, got {value}$"):
+    for rule, make in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(rule)}, got {value}$"):
             make()
 
 
@@ -131,19 +124,6 @@ def test_model_sorts_processes_by_barrier():
         processes=(ArrheniusProcess(2.1e-3, 16.1), ArrheniusProcess(4.0e2, 0.34))
     )
     assert [p.delta for p in model.processes] == [0.34, 16.1]
-    with pytest.raises(ValueError):
-        RelaxationModel(processes=())
-
-
-def test_dataset_validation():
-    with pytest.raises(ValueError):
-        LifetimePoint(t_kelvin=-1.0, tau_s=1.0)
-    with pytest.raises(ValueError):
-        LifetimePoint(t_kelvin=1.0, tau_s=0.0)
-    with pytest.raises(ValueError):
-        LifetimePoint(t_kelvin=1.0, tau_s=1.0, sigma_ln_tau=0.0)
-    with pytest.raises(ValueError):
-        RelaxationDataset(points=())
 
 
 # --------------------------------------------------------------- lifetime
@@ -220,13 +200,6 @@ def test_synthesize_is_deterministic_per_seed():
     assert not np.array_equal(a.lifetimes(), c.lifetimes())
 
 
-def test_synthesize_rejects_bad_input():
-    with pytest.raises(ValueError):
-        synthesize(SINGLE, [], 0.05, seed=0)
-    with pytest.raises(ValueError):
-        synthesize(SINGLE, GRID_30, -0.1, seed=0)
-
-
 def test_synthesize_names_the_temperature_where_the_lifetime_overflows():
     # ln tau = 1077 at 2 K and 710 at 3 K: beyond float64, whatever the evaluation
     model = RelaxationModel(processes=(ArrheniusProcess(tau0=1e-10, delta=2200.0),))
@@ -235,7 +208,7 @@ def test_synthesize_names_the_temperature_where_the_lifetime_overflows():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
             synthesize(model, [2.0, 3.0, 4.0], 0.0, seed=0)
-        with pytest.raises(ValueError, match=r"at T = 3.0 K$"):
+        with pytest.raises(ValueError, match=message.replace("2.0 K", "3.0 K")):
             synthesize(model, [4.0, 3.0, 2.0], 0.05, seed=0)
 
 
@@ -431,7 +404,8 @@ def test_fit_inputs_beyond_float64_are_named():
 def test_synthesize_noise_beyond_float64_is_rejected_without_a_warning():
     # a zero lifetime times an infinite noise factor warned and gave NaN
     model = RelaxationModel(processes=(ArrheniusProcess(tau0=1e-310, delta=0.0),))
-    with pytest.raises(ValueError, match=r"^lifetime exceeds float64 \(ln tau > 709.78\) at T"):
+    message = r"^lifetime exceeds float64 \(ln tau > 709.78\) at T = 1.0 K$"
+    with pytest.raises(ValueError, match=message):
         synthesize(model, [1.0, 2.0, 3.0, 4.0], 1e300, seed=0)
 
 
@@ -444,18 +418,8 @@ def test_synthesize_names_the_temperature_where_the_lifetime_rounds_to_zero():
         synthesize(RelaxationModel(processes=(tiny,) * 4), [1.0, 2.0, 3.0], 0.0, seed=0)
     # a 1e-300 s lifetime is finite, but noise can round it to 0: here eps = -76.6 at 3.0 K
     model = RelaxationModel(processes=(ArrheniusProcess(tau0=1e-300, delta=0.0),))
-    with pytest.raises(ValueError, match=r"\(ln tau < -709.78\) at T = 3.0 K$"):
+    with pytest.raises(ValueError, match=message.replace("1.0 K", "3.0 K")):
         synthesize(model, [1.0, 2.0, 3.0], 30.0, seed=6)
-
-
-def test_fit_rejects_undersized_dataset():
-    ds = synthesize(SINGLE, np.geomspace(0.4, 30.0, 7), 0.0, seed=0)
-    with pytest.raises(ValueError, match="at least 8"):
-        fit(ds, 2)
-    with pytest.raises(ValueError):
-        fit(ds, 0)
-    with pytest.raises(ValueError):
-        fit(ds, 5)
 
 
 def test_fit_step_whose_norm_overflows_warns_nothing():
@@ -549,7 +513,8 @@ def test_dataset_csv_round_trip_property(points):
     "mode", ["a,b", '"x', 'x"y', " DC", "DC ", "a\nb", "a\rb", "\t", "a\0"]
 )
 def test_point_rejects_tags_that_csv_cannot_carry(mode):
-    with pytest.raises(ValueError, match=f"^mode tag {re.escape(repr(mode))} cannot be written"):
+    message = f"mode tag {mode!r} cannot be written to CSV unchanged"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         LifetimePoint(1.0, 2.0, mode=mode)
 
 
@@ -560,30 +525,6 @@ def test_dataset_csv_minimal_columns():
     assert ds.points[0].mode == ""
     # a sigma-free dataset writes only the two required columns
     assert ds.to_csv().splitlines()[0] == "T_K,tau_s"
-
-
-def test_dataset_csv_rejects_bad_header():
-    with pytest.raises(ValueError, match="header"):
-        parse_dataset_csv("temp,tau\n1.0,2.0\n")
-    with pytest.raises(ValueError, match="header"):
-        parse_dataset_csv("T_K,tau_s,tau_s\n1.0,2.0,3.0\n")
-    with pytest.raises(ValueError, match="empty"):
-        parse_dataset_csv("")
-
-
-def test_dataset_csv_rejects_malformed_rows():
-    with pytest.raises(ValueError, match="line 3"):
-        parse_dataset_csv("T_K,tau_s\n1.0,2.0\n1.0,2.0,0.5\n")
-    with pytest.raises(ValueError, match="line 2"):
-        parse_dataset_csv("T_K,tau_s\n1.0\n")
-    with pytest.raises(ValueError, match="^line 3, column tau_s: .*'abc'"):
-        parse_dataset_csv("T_K,tau_s\n1.0,2.0\n2.0,abc\n")
-    with pytest.raises(ValueError, match="^line 4, column sigma_ln_tau: "):
-        parse_dataset_csv("T_K,tau_s,sigma_ln_tau\n1.0,2.0,\n2.0,3.0,0.1\n3.0,4.0,x\n")
-    with pytest.raises(ValueError, match="^line 3: temperature must be positive, got -3.0$"):
-        parse_dataset_csv("T_K,tau_s\n1.0,2.0\n-3.0,4.0\n")
-    with pytest.raises(ValueError, match="^line 3: mode tag 'a,b' cannot be written"):
-        parse_dataset_csv('T_K,tau_s,mode\n1.0,2.0,DC\n1.0,2.0,"a,b"\n')
 
 
 MODE_FIRST = "T_K,tau_s,mode,sigma_ln_tau\n"     # to_csv never writes mode before sigma_ln_tau
@@ -617,61 +558,3 @@ def test_dataset_csv_reads_cells_by_column_position():
 def test_dataset_csv_located_messages_with_mode_first(rows, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_dataset_csv(MODE_FIRST + rows)
-
-
-# ------------------------------------------------------ rejected arguments
-
-TWO_STATES = np.tile(basis_state("1"), (2, 1))
-# Hermitian, with levels 0.382, 2.618, 3 and 4; its real part alone has 1, 2, 3 and 4
-HERMITIAN = np.diag([1.0, 2.0, 3.0, 4.0]) + np.pad([[0.0, 1j], [-1j, 0.0]], (0, 2))
-
-
-@pytest.mark.parametrize(
-    "call, error, message",
-    [
-        (lambda: eigensystem(np.eye(3)), ValueError,
-         "expected a 4x4 matrix or a stack of them, got shape (3, 3)"),
-        (lambda: eigensystem(np.zeros(4)), ValueError,
-         "expected a 4x4 matrix or a stack of them, got shape (4,)"),
-        (lambda: eigensystem(0.0), ValueError,
-         "expected a 4x4 matrix or a stack of them, got shape ()"),
-        (lambda: eigensystem(HERMITIAN), ValueError,
-         "Hamiltonian must be real, got complex128 entries"),
-        (lambda: basis_state("3"), ValueError,
-         "unknown basis label '3', expected one of ('1', '1bar', '2', '2bar')"),
-        (lambda: evolve(TWO_STATES, np.eye(4), 1.0), ValueError,
-         "evolve takes one state (4,) and one 4x4 Hamiltonian, got shapes (2, 4) and (4, 4)"),
-        (lambda: evolve(basis_state("1"), np.zeros((2, 4, 4)), 1.0), ValueError,
-         "evolve takes one state (4,) and one 4x4 Hamiltonian, got shapes (4,) and (2, 4, 4)"),
-        (lambda: evolve(basis_state("1"), HERMITIAN, 1.0), ValueError,
-         "Hamiltonian must be real, got complex128 entries"),
-        (lambda: fit(synthesize(SINGLE, GRID_30, 0.0), 1.5), ValueError,
-         "n_processes must be an integer in 1..4, got 1.5"),
-        (lambda: fit(synthesize(SINGLE, GRID_30, 0.0), 2.0), ValueError,
-         "n_processes must be an integer in 1..4, got 2.0"),
-        (lambda: RelaxationModel(processes=((2.1e-3, 16.1),)), TypeError,
-         "processes must be ArrheniusProcess instances"),
-        (lambda: RelaxationDataset(points=((1.0, 2.0),)), TypeError,
-         "points must be LifetimePoint instances"),
-        # blank rows are skipped, so a file of blank rows holds no point
-        (lambda: parse_dataset_csv("T_K,tau_s\n\n , \n"), ValueError,
-         "dataset must contain at least one point"),
-        # |U| / (2 mu_y) underflows to 0 although U is not 0
-        (lambda: sweep_field(ModelParams(u=1e-300, a=1.0, mu_x=1.0, mu_y=1e300), 2.0, 3),
-         ValueError,
-         "field scale B_Zt vanishes at u = 1e-300, mu_y = 1e+300; field sweep is undefined"),
-        # the range holds two float64 values, so a 4-point grid would repeat them
-        (lambda: sweep_ratio(1.0, 1.0000000000000002, 4), ValueError,
-         "4 points from 1.0 to 1.0000000000000002 repeat a float64 value"),
-        (lambda: tunneling_from_splitting(0.3, u=math.nan, mode="exact"), ValueError,
-         "exact inversion requires a finite u >= 0, got nan"),
-    ],
-    ids=["eigensystem-3x3", "eigensystem-vector", "eigensystem-scalar", "eigensystem-complex",
-         "basis-label", "evolve-states", "evolve-matrices", "evolve-complex",
-         "fit-fractional-processes", "fit-float-processes", "model-type", "dataset-type",
-         "csv-blank-rows", "sweep-field-threshold-underflow", "sweep-ratio-repeated-grid",
-         "exact-inversion-nan-u"],
-)
-def test_library_rejects_malformed_arguments(call, error, message):
-    with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        call()
