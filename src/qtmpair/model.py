@@ -386,7 +386,7 @@ def moment_expectation(state, params):
 @functools.lru_cache(maxsize=1)
 def _spectrum(data, dtype):
     """Read-only eigenbasis, phase rates and max |rate| of the 4x4 matrix of ``dtype`` ``data``;
-    the basis is ``vectors.T`` as the C-contiguous complex copy that real @ complex makes."""
+    the basis is ``vectors.T`` as C-contiguous complex, as a real-by-complex product casts it."""
     es = eigensystem(np.frombuffer(data, dtype).reshape(4, 4))
     with np.errstate(over="ignore"):
         rates = -2j * np.pi * K_B_OVER_H_GHZ * es.values
@@ -433,4 +433,5 @@ def evolve(initial, h, t_ns):
         if not finite.all():
             raise ValueError(f"time must be finite, got {t[i]}{at}")
         raise ValueError(f"phase exceeds float64 at t = {t[i]} ns{at}")
-    return ((basis @ initial) * np.exp(rates * phase_t)) @ basis
+    # .dot reaches the same BLAS product as @ with about half the per-call dispatch here
+    return (basis.dot(initial) * np.exp(rates * phase_t)).dot(basis)

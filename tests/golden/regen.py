@@ -7,7 +7,8 @@ checkout, in order, in a temporary directory that starts with a copy of
 ``inputs/``, rewrites ``expected.json`` (exit code, stdout, stderr and the
 files each case wrote through ``--output`` or ``--curve-output``) and
 prints, per subcommand, how many cells moved against the old record and by
-how much, and which cases of the old record the new one drops.
+how much, and which cases of the old record the new one drops.  While any
+case raises a Python warning it writes nothing and names the case instead.
 ``tests/test_golden.py`` runs the same cases and checks them with
 :func:`mismatches`, one test per case.
 """
@@ -20,6 +21,7 @@ import shlex
 import shutil
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -40,20 +42,25 @@ def load_cases():
 
 
 def _in_process(argv):
-    """Exit code, stdout and stderr of ``qtmpair.cli.main(argv)`` run in this process."""
+    """Exit code, stdout, stderr and the warnings (``Category: message``, kept out of stderr)
+    of ``qtmpair.cli.main(argv)`` run in this process."""
     from qtmpair import cli
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
         try:
             code = cli.main(argv)
         except SystemExit as exit_:
             code = exit_.code
-    return code, out.getvalue(), err.getvalue()
+    warned = [f"{w.category.__name__}: {w.message}" for w in caught]
+    return code, out.getvalue(), err.getvalue(), warned
 
 
 def run_cases(workdir, cases, call=_in_process):
     """Run ``cases`` in order inside ``workdir``; one record per case.  ``call(argv)`` returns
-    the exit code, stdout and stderr of one call, by default of ``cli.main`` in this process."""
+    the exit code, stdout, stderr and warnings of one call, by default of ``cli.main`` in this
+    process."""
     shutil.copytree(INPUTS, workdir, dirs_exist_ok=True)
     cwd = os.getcwd()
     os.chdir(workdir)
@@ -68,10 +75,11 @@ def _run(call, case):
     argv = shlex.split(case)
     targets = [b for a, b in zip(argv, argv[1:]) if a in ("--output", "--curve-output")]
     before = {name: _read(name) for name in targets}
-    code, out, err = call(argv)
+    code, out, err, warned = call(argv)
     written = {name: _read(name) for name in targets}
     return {"case": case, "exit": code, "stdout": out, "stderr": err,
-            "files": {name: text for name, text in written.items() if text != before[name]}}
+            "files": {name: text for name, text in written.items() if text != before[name]},
+            "warnings": warned}
 
 
 def _read(name):
@@ -134,14 +142,16 @@ def _outputs(record):
 
 
 def mismatches(expected, actual):
-    """What in ``actual`` breaks the record ``expected``: a list of readable lines."""
+    """What in ``actual`` breaks the record ``expected``: a list of readable lines.  A warning
+    that the case raised is always one."""
     argv = shlex.split(expected["case"])
     tolerant = argv[0] in TOLERANT and expected["exit"] == 0 and "--help" not in argv
     given = [b for a, b in zip(argv, argv[1:]) if a == "--u"] + [
         a[len("--u="):] for a in argv if a.startswith("--u=")]
     u = float(given[-1]) if given else None
     old, new = _outputs(expected), _outputs(actual)
-    problems = [f"{name} written by one side only" for name in set(old) ^ set(new)]
+    problems = [f"warning {text}" for text in actual.get("warnings", ())]
+    problems += [f"{name} written by one side only" for name in set(old) ^ set(new)]
     for name in sorted(set(old) & set(new)):
         moved = moved_cells(old[name], new[name])
         if not (tolerant and name not in ("exit", "stderr")):
@@ -215,6 +225,10 @@ def main():
     sys.path.insert(0, str(HERE.parents[1] / "src"))
     with tempfile.TemporaryDirectory() as workdir:
         records = run_cases(workdir, load_cases())
+    warned = [f"{record['case']}\n  {text}" for record in records
+              for text in record.pop("warnings")]
+    if warned:
+        sys.exit("expected.json not written, a case warned:\n" + "\n".join(warned))
     old = json.loads(EXPECTED.read_text(encoding="utf-8")) if EXPECTED.exists() else []
     EXPECTED.write_text(json.dumps(records, indent=1, ensure_ascii=False) + "\n",
                         encoding="utf-8")

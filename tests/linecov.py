@@ -2,11 +2,12 @@
 
     python tests/linecov.py
 
-runs ``pytest`` on ``tests/`` in this process with ``sys.settrace`` and
-``threading.settrace`` set, then lists every executable line of ``src/`` (the
-``co_lines()`` of each code object) that no test ran.  Subprocesses are not
-followed, so the body of ``if __name__ == "__main__":`` is exempt.  Exits 1 if
-the suite fails or leaves any other line unrun.
+runs tier-1 (``pytest -q -rP --continue-on-collection-errors`` on ``tests/``) in
+this process with ``sys.settrace`` and ``threading.settrace`` set, then lists
+every executable line of ``src/`` (the ``co_lines()`` of each code object) that
+no test ran.  Subprocesses are not followed, so the body of
+``if __name__ == "__main__":`` is exempt.  Exits 1 if the suite fails or leaves
+any other line unrun.
 """
 
 import ast
@@ -46,7 +47,9 @@ def executable(path):
 if __name__ == "__main__":
     threading.settrace(trace)
     sys.settrace(trace)
-    status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+    # -rP prints the passed tests' stdout: the eleven ACCEPTANCE lines of test_acceptance.py
+    status = pytest.main(["-q", "-rP", "--continue-on-collection-errors", "-p", "no:cacheprovider",
+                          str(ROOT / "tests")])
     sys.settrace(None)
     threading.settrace(None)
     total = unrun = 0

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -43,7 +44,8 @@ def test_cli_output_matches_the_golden_corpus(actual, case):
 def _process(argv):
     proc = subprocess.run([sys.executable, "-m", "qtmpair.cli", *argv], capture_output=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)})
-    return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
+    # a warning of the child goes to its stderr, which the record holds
+    return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8"), []
 
 
 @pytest.mark.parametrize("case", [
@@ -88,3 +90,20 @@ def test_tolerant_comparison_accepts_rounding_and_nothing_more():
     assert moved("axis,lambda1,lambda2,lambda3,lambda4,mx,my\n"
                  "0.0,-15.0,-0.0,0.0625,2.5,-0.0,3.0") != []           # the final newline
     assert regen.mismatches(record, {**record, "stderr": "warning\n"}) != []
+
+
+def test_a_warning_fails_its_case_by_name(monkeypatch):
+    """The in-process run records a warning apart from stderr, under any warning filter,
+    and the comparison names its category and message."""
+    def main(argv):
+        warnings.warn("invalid value encountered in multiply", RuntimeWarning)
+        print("axis")
+        return 0
+
+    monkeypatch.setattr("qtmpair.cli.main", main)
+    assert regen._in_process(["eigen"]) == (
+        0, "axis\n", "", ["RuntimeWarning: invalid value encountered in multiply"])
+    record = dict(case="eigen --u 1", exit=0, stdout="axis\n", stderr="", files={})
+    warned = {**record, "warnings": ["RuntimeWarning: invalid value encountered in multiply"]}
+    assert regen.mismatches(record, warned) == [
+        "warning RuntimeWarning: invalid value encountered in multiply"]

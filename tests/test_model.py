@@ -721,7 +721,8 @@ def test_tunneling_beat_against_spectral_sum():
 
 
 def memo_free_evolve(initial, h, t):
-    """evolve written out with a fresh diagonalization on every call."""
+    """evolve written out with a fresh diagonalization on every call: the ``@`` form that
+    evolve's ``.dot`` products must match bit for bit, so it keeps ``@``."""
     es = eigensystem(h)
     overlaps = es.vectors.T @ initial
     phases = np.exp(-2j * np.pi * K_B_OVER_H_GHZ * es.values * np.asarray(t)[..., None])
@@ -925,8 +926,8 @@ TIMES = st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=12)
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(PARAMS, FIELD, FIELD, AMPLITUDES, TIMES)
 def test_evolve_and_moments_are_bitwise_consistent(params, bx, by, amplitudes, times):
-    """Scalar and array times, memo hit and miss, and the memo-free form
-    give the same bits; so do stacked and per-row moments."""
+    """Scalar and array times, memo hit and miss, a strided state, an (n, 1) time grid and
+    the memo-free form give the same bits; so do stacked and per-row moments."""
     h = hamiltonian_stack(params, bx, by)
     initial = np.asarray(amplitudes) / np.linalg.norm(amplitudes)
     times = np.asarray(times)
@@ -934,6 +935,11 @@ def test_evolve_and_moments_are_bitwise_consistent(params, bx, by, amplitudes, t
     states = evolve(initial, h, times)
     np.testing.assert_array_equal(evolve(initial, h, times), states)
     np.testing.assert_array_equal(memo_free_evolve(initial, h, times), states)
+    matrix = np.zeros((4, 4), dtype=complex)
+    matrix[:, 2] = initial
+    assert not matrix[:, 2].flags.c_contiguous
+    np.testing.assert_array_equal(evolve(matrix[:, 2], h, times), states)
+    np.testing.assert_array_equal(evolve(initial, h, times[:, None]), states[:, None])
     for t, row in zip(times, states):
         np.testing.assert_array_equal(evolve(initial, h, t), row)
         np.testing.assert_array_equal(memo_free_evolve(initial, h, t), row)
