@@ -244,7 +244,7 @@ def _cmd_eigen(args):
     return json_text({
         "values_K": es.values,
         "vectors": es.vectors.T,
-        "basis": list(BASIS_LABELS),
+        "basis": BASIS_LABELS,
         "convention": (
             "vectors[i] is the eigenvector of values_K[i] (ascending), amplitudes "
             "ordered as 'basis'; the largest-magnitude amplitude is made positive"
@@ -278,7 +278,7 @@ def _cmd_extract(args):
             zeeman_threshold(ModelParams(u=args.u, a=0.0, mu_x=1.0, mu_y=args.mu_y))
             if threshold else None
         ),
-        "notes": list(EXTRACTION_NOTES),
+        "notes": EXTRACTION_NOTES,
     })
 
 
@@ -296,7 +296,7 @@ def _cmd_fit(args):
         result = fit(data, args.processes)
     except DegenerateParametersError as err:
         raise DomainError(
-            "DegenerateParameters", str(err), parameter_pair=list(err.parameter_pair)
+            "DegenerateParameters", str(err), parameter_pair=err.parameter_pair
         ) from err
     except ValueError as err:
         raise DomainError("FitError", str(err)) from err
@@ -326,7 +326,7 @@ def _cmd_synth(args):
         raise ValueError(f"need 0 < --t-min <= --t-max, both finite, "
                          f"got {args.t_min} and {args.t_max}")
     model = RelaxationModel(
-        processes=tuple(ArrheniusProcess(tau0=p[0], delta=p[1]) for p in args.process)
+        processes=(ArrheniusProcess(tau0=p[0], delta=p[1]) for p in args.process)
     )
     with np.errstate(over="ignore"):    # a last point rounded past float64 is set to --t-max
         temps = np.geomspace(args.t_min, args.t_max, args.points)

@@ -262,8 +262,6 @@ def _pin_clusters(values, parity_vectors, vectors, close):
             norm = np.linalg.norm(column)
             if norm > PIN_MIN_NORM:
                 basis.append(column / norm)
-            if len(basis) == hi - lo:
-                break
         vectors[:, lo:hi] = np.column_stack(basis)
 
 

@@ -92,7 +92,6 @@ class LifetimePoint(Record):
             math.isfinite(self.sigma_ln_tau) and self.sigma_ln_tau > 0
         ):
             raise ValueError(f"sigma_ln_tau must be positive when given, got {self.sigma_ln_tau}")
-        mode = self.mode
         if mode and (mode != mode.strip() or any(c in mode for c in ',"\r\n\0')):
             raise ValueError(f"mode tag {mode!r} cannot be written to CSV unchanged")
 
@@ -354,7 +353,6 @@ def fit(data, n_processes):
     trace = [obj]
     damping = 1e-3
     converged = False
-    iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
         jtw = jac.T * weights
         normal = jtw @ jac

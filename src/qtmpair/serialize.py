@@ -7,7 +7,6 @@ The stdlib ``json`` module formats floats with ``repr`` too.
 """
 
 import json
-import math
 
 import numpy as np
 
@@ -54,6 +53,4 @@ def _json(obj, newline):
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(obj, (list, tuple)) and obj:
         return "[" + inner + ("," + inner).join(_json(v, inner) for v in obj) + newline + "]"
-    if isinstance(obj, float) and math.isfinite(obj):
-        return float.__repr__(obj)
     return json.dumps(obj)

@@ -14,6 +14,7 @@ case raises a Python warning it writes nothing and names the case instead.
 """
 
 import contextlib
+import difflib
 import io
 import json
 import os
@@ -87,8 +88,8 @@ def _read(name):
     return path.read_bytes().decode("utf-8") if path.is_file() else None
 
 
-def _cells(text):
-    """Cells of a JSON document or a CSV table by (column, position), else lines by number."""
+def _structured(text):
+    """Cells of a JSON document or a CSV table by (column, position), else None."""
     try:
         doc = json.loads(text)
     except ValueError:
@@ -106,7 +107,18 @@ def _cells(text):
         cells.update(((name, i), row[j]) for i, row in enumerate(rows[1:])
                      for j, name in enumerate(header))
         return cells
-    return {("line", i): line for i, line in enumerate(lines + [""] * text.endswith("\n"))}
+    return None
+
+
+def _lines(text):
+    """Lines of ``text``, and an empty last one after a final line break."""
+    return text.splitlines() + [""] * text.endswith("\n")
+
+
+def _cells(text):
+    """Cells of a JSON document or a CSV table by (column, position), else lines by number."""
+    cells = _structured(text)
+    return {("line", i): line for i, line in enumerate(_lines(text))} if cells is None else cells
 
 
 def _leaves(value, column, position, cells):
@@ -126,9 +138,18 @@ def _number(cell):
 
 
 def moved_cells(old, new):
-    """(column, old cell, new cell) for every cell that differs between two texts."""
+    """(column, old cell, new cell) for every cell that differs between two texts.  Where
+    neither is JSON or a table, a run of lines that one side inserts, deletes or replaces is
+    one ("line", old lines, new lines) cell, None on the side that has none."""
     if old == new:
         return []
+    if _structured(old) is None and _structured(new) is None:
+        a, b = _lines(old), _lines(new)
+        moved = [("line", "\n".join(a[i1:i2]) if i2 > i1 else None,
+                  "\n".join(b[j1:j2]) if j2 > j1 else None)
+                 for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, a, b).get_opcodes()
+                 if tag != "equal"]
+        return moved or [("layout", old, new)]
     old_cells, new_cells = _cells(old), _cells(new)
     keys = list(old_cells) + [key for key in new_cells if key not in old_cells]
     moved = [(key[0], old_cells.get(key), new_cells.get(key))

@@ -185,6 +185,10 @@ def test_scalars_stay_finite_or_raise_near_the_float64_limit():
     np.testing.assert_allclose(tunneling_from_splitting(1e200, u=1.0), 5e199, rtol=1e-15)
     np.testing.assert_allclose(tunneling_from_splitting(1e308, u=1e308), 1e308 / 2**0.5,
                                rtol=1e-15)
+    # NumPy scalars take the same Python-float path: delta * (delta + u) overflows to inf
+    # with no warning, and the split square root gives the Python-float result
+    result = tunneling_from_splitting(np.float64(1e200), u=np.float64(1e200))
+    assert (result, type(result)) == (7.071067811865475e+199, float)
 
 
 def test_exact_extraction_round_trip():

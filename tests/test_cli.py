@@ -54,6 +54,15 @@ def test_run_freezes_the_collector_once_and_main_never(capsys, tmp_path, monkeyp
     capsys.readouterr()
 
 
+def test_a_call_without_a_command_is_a_usage_error(capsys):
+    # an empty argument list: no corpus line can hold it, as the corpus skips blank lines
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "qtmpair: error: the following arguments are required: COMMAND\n")
+
+
 # ------------------------------------------------------------ spectrum-ua
 
 def test_spectrum_ua_row_at_ten(capsys):

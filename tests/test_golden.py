@@ -53,6 +53,7 @@ def _process(argv):
     "fit --input bom.csv --processes 2 --output bom_fit.json --curve-output bom_curve.csv",
     "spectrum-ua --min 3 --max 1 --points 5",       # a usage error, exit 2
     "fit --input bad_header.csv --processes 2",     # a DatasetError, exit 3
+    "eigen --u 10 --a 1 --mu-y 10 --bz 1",          # a stray option, exit 2
     "--help",
 ])
 def test_process_entry_matches_the_golden_corpus(tmp_path, case):
@@ -90,6 +91,14 @@ def test_tolerant_comparison_accepts_rounding_and_nothing_more():
     assert moved("axis,lambda1,lambda2,lambda3,lambda4,mx,my\n"
                  "0.0,-15.0,-0.0,0.0625,2.5,-0.0,3.0") != []           # the final newline
     assert regen.mismatches(record, {**record, "stderr": "warning\n"}) != []
+
+
+def test_lines_inserted_above_a_message_are_one_insertion():
+    """A text that is neither JSON nor a table is compared as a line diff, so two lines put
+    before a usage message neither move it nor pair it with an unrelated line."""
+    assert regen.moved_cells("usage\nerror: old\n", "w1\nw2\nusage\nerror: new\n") == [
+        ("line", None, "w1\nw2"), ("line", "error: old", "error: new")]
+    assert regen.moved_cells("usage\nerror: old\n", "usage\n") == [("line", "error: old", None)]
 
 
 def test_a_warning_fails_its_case_by_name(monkeypatch):

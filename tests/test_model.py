@@ -544,6 +544,7 @@ def test_zero_field_eigenstates_carry_no_moment():
 def test_pure_basis_state_moment():
     m = moment_expectation(basis_state("2"), P10)
     assert m == (0.0, 20.0)
+    assert moment_expectation([0, 0, 1, 0], P10) == m     # a state may be any sequence
 
 
 def test_ground_state_saturates_at_large_field():
@@ -674,7 +675,8 @@ def test_field_along_x_opens_an_avoided_crossing_set_by_the_gap(u, scales):
 
 def test_evolve_identity_at_zero_time():
     state = basis_state("1")
-    np.testing.assert_allclose(evolve(state, build_hamiltonian(P10), 0.0), state, atol=1e-14)
+    for given in (state, [1, 0, 0, 0]):     # a state may be any sequence
+        np.testing.assert_allclose(evolve(given, build_hamiltonian(P10), 0.0), state, atol=1e-14)
 
 
 def test_eigenvector_is_stationary():

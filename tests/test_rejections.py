@@ -36,6 +36,7 @@ from qtmpair.relaxation import (
 
 P10 = ModelParams(u=10.0, a=1.0, mu_x=10.0, mu_y=10.0)
 H10 = hamiltonian_stack(P10)
+HUGE_A = hamiltonian_stack(ModelParams(u=1.0, a=1e308, mu_x=1.0, mu_y=1.0))
 GRID = hamiltonian_stack(P10, 0.0, np.zeros((2, 3)))      # a 2 x 3 field grid
 TWO_STATES = np.tile(basis_state("1"), (2, 1))
 # Hermitian, with levels 0.382, 2.618, 3 and 4; its real part alone has 1, 2, 3 and 4
@@ -85,6 +86,10 @@ def row(call, message, error=ValueError, *, id):
     row(lambda: eigensystem(spoiled(GRID, ((0, 1, 0, 0), 5e307), ((1, 2, 3, 3), np.inf))),
         "Hamiltonian entry 5e+307 exceeds 4.4942328371557893e+307 in magnitude at index (0, 1)",
         id="eigensystem-grid-max-entry"),
+    # the Hamiltonian of A = 1e308 holds -1e308 entries: the bad matrices are found by magnitude
+    row(lambda: eigensystem(np.stack([H10, HUGE_A, np.full((4, 4), np.inf)])),
+        "Hamiltonian entry 1e+308 exceeds 4.4942328371557893e+307 in magnitude at index 1",
+        id="eigensystem-stack-negative-entry"),
     row(lambda: eigensystem(spoiled(H10, ((0, 1), 0.5))),
         "matrix is not symmetric", id="eigensystem-asymmetric"),
     row(lambda: eigensystem(np.stack([H10, H10, spoiled(H10, ((0, 1), 0.5))])),

@@ -263,6 +263,12 @@ def test_fit_retries_a_singular_step_with_more_damping(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", singular_once)
     retried = fit(ds, 2)
     assert retried.converged and len(calls) > 1
+    # both are N + damping * diag(N) with the first iteration's N: at the start damping
+    # 1e-3 and then at 1e-2, so only the diagonal differs, by (1 + 1e-2) / (1 + 1e-3)
+    first, retry = calls[0], calls[1]
+    off_diagonal = ~np.eye(len(first), dtype=bool)
+    np.testing.assert_array_equal(retry[off_diagonal], first[off_diagonal])
+    np.testing.assert_allclose(retry.diagonal() / first.diagonal(), 1.01 / 1.001, rtol=1e-12)
     for got, want in zip(retried.model.processes, plain.model.processes):
         np.testing.assert_allclose(got.tau0, want.tau0, rtol=1e-7)
         np.testing.assert_allclose(got.delta, want.delta, rtol=1e-7)
@@ -355,6 +361,8 @@ def test_fit_objective_never_increases():
         res = fit(synthesize(TB2SCN_C80.relaxation, GRID_30, 0.05, seed=seed), 2)
         trace = np.array(res.objective_trace)
         assert np.all(np.diff(trace) <= 0.0)
+        # the start's objective, then one per iteration: a converged fit takes a step in each
+        assert res.converged and len(trace) == res.iterations + 1
 
 
 def test_fit_std_errors_shrink_with_sample_size():
@@ -434,6 +442,13 @@ def test_fit_step_whose_norm_overflows_warns_nothing():
     with pytest.raises(DegenerateParametersError) as exc:
         fit(synthesize(model, GRID_30, 0.05, seed=129), 3)
     assert exc.value.parameter_pair == ("ln_tau0_1", "delta_3")
+
+
+def test_degenerate_parameters_error_keeps_only_its_message_as_text():
+    # built positionally, the pair must not join the exception's args and so its text
+    message = "parameters delta_1 and delta_2 are degenerate"
+    err = DegenerateParametersError(message, ("delta_1", "delta_2"))
+    assert (str(err), err.args, err.parameter_pair) == (message, (message,), ("delta_1", "delta_2"))
 
 
 def test_fit_that_ends_at_a_negative_barrier_keeps_its_message():
