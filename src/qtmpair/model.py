@@ -149,9 +149,9 @@ def hamiltonian_stack(params, bx=0.0, by=0.0):
     Raises
     ------
     ValueError
-        If a field component is not finite or a Zeeman energy overflows.
+        If a field component is complex or not finite, or a Zeeman energy overflows.
     """
-    bx, by = np.asarray(bx, dtype=float), np.asarray(by, dtype=float)
+    bx, by = _real(bx, "field component bx"), _real(by, "field component by")
     h = np.full(np.broadcast_shapes(bx.shape, by.shape) + (4, 4), -params.a)
     h[..., [0, 1, 2, 3], [1, 0, 3, 2]] = 0.0
     with np.errstate(over="ignore"):
@@ -347,6 +347,14 @@ def _first(bad):
     return index[0] if len(index) == 1 else index
 
 
+def _real(values, name):
+    """``values`` as a float array; complex ones are refused, not cut to their real part."""
+    values = np.asarray(values)
+    if values.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got {values.dtype} values")
+    return values.astype(float, copy=False)
+
+
 def _check_normalized(state):
     """``state`` as complex and its populations |amplitude|**2; every norm must be 1."""
     state = np.asarray(state, dtype=complex)
@@ -396,6 +404,20 @@ def _spectrum(data, dtype):
     return basis, rates, float(np.abs(rates.imag).max())
 
 
+@functools.lru_cache(maxsize=1)
+def _expansion(state, state_shape, data, shape, dtype):
+    """Read-only coefficients of the complex state ``state`` in the eigenbasis of the matrix
+    ``data``, then what :func:`_spectrum` returns; refused as :func:`evolve` documents."""
+    initial, _ = _check_normalized(np.frombuffer(state, complex).reshape(state_shape))
+    if state_shape != (4,) or shape != (4, 4):
+        raise ValueError(f"evolve takes one state (4,) and one 4x4 Hamiltonian, "
+                         f"got shapes {state_shape} and {shape}")
+    basis, rates, top = _spectrum(data, dtype)
+    coefficients = basis.dot(initial)
+    coefficients.flags.writeable = False
+    return coefficients, basis, rates, top
+
+
 def evolve(initial, h, t_ns):
     """Propagate a state coherently for ``t_ns`` nanoseconds under ``h``.
 
@@ -403,23 +425,22 @@ def evolve(initial, h, t_ns):
     applies the phase factors exp(-i * 2*pi * (k_B/h) * lambda_i * t); a
     splitting of 1 K oscillates at 20.836619 GHz.  The last eigenbasis and
     its phase rates are kept for a call whose ``h`` has the same entries
-    and dtype.  ``t_ns`` is a finite scalar, giving a state of shape ``(4,)``,
+    and dtype, and the state's coefficients in it for a call whose complex state
+    and ``h`` have the same entries and shapes; a refused call is never kept.
+    ``t_ns`` is a real finite scalar, giving a state of shape ``(4,)``,
     or an array of finite times, giving one state per time (shape
     ``(..., 4)``).  The norm is preserved and the map is reversible (t -> -t).
     Raises ``ValueError`` for an ``h`` that :func:`eigensystem` refuses, a
-    complex one included, and where a phase rate or a phase exceeds float64.
+    complex one included, a complex time, and where a phase rate or a phase exceeds float64.
     """
-    initial, _ = _check_normalized(initial)
+    initial = np.asarray(initial, dtype=complex)
     h = np.asarray(h)     # cast, or refused if complex, once per new matrix by eigensystem
     if h.dtype.hasobject:     # its bytes are pointers, no memo key: cast it here instead
         h = h.astype(float)
-    if initial.shape != (4,) or h.shape != (4, 4):
-        raise ValueError(
-            f"evolve takes one state (4,) and one 4x4 Hamiltonian, "
-            f"got shapes {initial.shape} and {h.shape}"
-        )
-    t = np.asarray(t_ns, dtype=float)
-    basis, rates, top = _spectrum(h.tobytes(), h.dtype)
+    coefficients, basis, rates, top = _expansion(
+        initial.tobytes(), initial.shape, h.tobytes(), h.shape, h.dtype
+    )
+    t = _real(t_ns, "t_ns")
     # each phase is one rounded product rate * t, so all are finite when top * max|t| is;
     # a NaN or infinite time fails this too (a 0-d .max() is slow)
     phase_t = float(t) if t.ndim == 0 else t[..., None]
@@ -432,4 +453,4 @@ def evolve(initial, h, t_ns):
             raise ValueError(f"time must be finite, got {t[i]}{at}")
         raise ValueError(f"phase exceeds float64 at t = {t[i]} ns{at}")
     # .dot reaches the same BLAS product as @ with about half the per-call dispatch here
-    return (basis.dot(initial) * np.exp(rates * phase_t)).dot(basis)
+    return (coefficients * np.exp(rates * phase_t)).dot(basis)

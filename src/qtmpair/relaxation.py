@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .constants import MAX_PROCESSES
-from .model import _first
+from .model import _first, _real
 from .record import Record
 from .serialize import csv_text, fmt, json_text
 
@@ -232,10 +232,10 @@ def model_lifetime(model, t_kelvin):
     """Lifetime of the parallel-channel model at temperature(s) ``t_kelvin``.
 
     Accepts a scalar or an array of any shape and returns the same shape;
-    temperatures must be positive.  A lifetime beyond float64 (ln tau >
+    temperatures must be real and positive.  A lifetime beyond float64 (ln tau >
     709.78) comes back as ``inf``, without a warning.
     """
-    t = np.asarray(t_kelvin, dtype=float)
+    t = _real(t_kelvin, "t_kelvin")
     bad = ~(np.isfinite(t) & (t > 0.0))
     if bad.any():
         i = _first(bad)     # () for a scalar, reported as index 0
@@ -252,7 +252,7 @@ def synthesize(model, temperatures, noise_sigma=0.0, seed=0):
     Gaussian of width ``noise_sigma`` by a seeded generator; the same seed
     always yields the same dataset.
     """
-    temps = np.asarray(temperatures, dtype=float).ravel()
+    temps = _real(temperatures, "temperatures").ravel()
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     with np.errstate(over="ignore", invalid="ignore"):

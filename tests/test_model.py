@@ -731,18 +731,62 @@ def memo_free_evolve(initial, h, t):
     return (overlaps * phases) @ es.vectors.T
 
 
+def counters(monkeypatch):
+    """Lists that record each ``eigensystem`` call and each state check inside ``evolve``."""
+    calls = {"eigensystem": [], "check": []}
+
+    def counting(name, function):
+        def counted(argument):
+            calls[name].append(argument)
+            return function(argument)
+        monkeypatch.setattr(f"qtmpair.model.{function.__name__}", counted)
+
+    counting("eigensystem", eigensystem)
+    counting("check", model._check_normalized)
+    model._spectrum.cache_clear()
+    model._expansion.cache_clear()
+    return calls
+
+
 def test_evolve_diagonalizes_a_repeated_hamiltonian_once(monkeypatch):
-    calls = []
-
-    def counting_eigensystem(h):
-        calls.append(h)
-        return eigensystem(h)
-
-    monkeypatch.setattr("qtmpair.model.eigensystem", counting_eigensystem)
+    calls = counters(monkeypatch)
     h = build_hamiltonian(ModelParams(u=3.7, a=0.21, mu_x=6.0, mu_y=8.0), FieldVector(by=0.05))
     for t in np.linspace(0.0, 2.0, 200):
         evolve(basis_state("2"), h, t)
-    assert len(calls) == 1
+    # one diagonalization, and one check of the state
+    assert (len(calls["eigensystem"]), len(calls["check"])) == (1, 1)
+    # a new state under the same h is checked, and expanded in the kept eigenbasis
+    initial = basis_state("1bar")
+    np.testing.assert_array_equal(evolve(initial, h, 0.3), memo_free_evolve(initial, h, 0.3))
+    assert (len(calls["eigensystem"]), len(calls["check"])) == (1, 2)
+
+
+def test_evolve_checks_a_state_changed_in_place(monkeypatch):
+    calls = counters(monkeypatch)
+    h = build_hamiltonian(P10, FieldVector(bx=0.1, by=0.2))
+    state = basis_state("2")
+    evolve(state, h, 0.5)
+    state[:] = basis_state("1")
+    np.testing.assert_array_equal(evolve(state, h, 0.5), memo_free_evolve(state, h, 0.5))
+    assert len(calls["check"]) == 2
+    state[0] = 2.0
+    message = r"^state is not normalized \(\|norm - 1\| = 1.000e\+00\)$"
+    for _ in range(2):      # a refusal is never kept
+        with pytest.raises(ValueError, match=message):
+            evolve(state, h, 0.5)
+    assert (len(calls["eigensystem"]), len(calls["check"])) == (1, 4)
+
+
+def test_evolve_memo_key_carries_shapes():
+    h = build_hamiltonian(P10, FieldVector(bx=0.1, by=0.2))
+    state = basis_state("1")
+    evolve(state, h, 0.5)
+    with pytest.raises(ValueError, match=r"^state must have 4 amplitudes, got shape \(2, 2\)$"):
+        evolve(state.reshape(2, 2), h, 0.5)
+    evolve(state, h, 0.5)
+    message = "evolve takes one state (4,) and one 4x4 Hamiltonian, got shapes (4,) and (2, 8)"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        evolve(state, h.reshape(2, 8), 0.5)
 
 
 def test_evolve_alternating_hamiltonians_equal_the_memo_free_form():
@@ -795,11 +839,12 @@ def test_evolve_follows_the_content_of_h():
 
 def test_evolve_memo_is_read_only_and_never_handed_out():
     h = build_hamiltonian(P10, FieldVector(bx=0.2, by=0.1))
-    for array in model._spectrum(h.tobytes(), h.dtype)[:2]:
+    initial = basis_state("1bar")
+    key = (initial.tobytes(), initial.shape, h.tobytes(), h.shape, h.dtype)
+    for array in model._spectrum(h.tobytes(), h.dtype)[:2] + model._expansion(*key)[:1]:
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
-    initial = basis_state("1bar")
     for t in (0.7, np.linspace(0.0, 2.0, 5)):
         first = evolve(initial, h, t)
         expected = first.copy()
@@ -934,6 +979,7 @@ def test_evolve_and_moments_are_bitwise_consistent(params, bx, by, amplitudes, t
     initial = np.asarray(amplitudes) / np.linalg.norm(amplitudes)
     times = np.asarray(times)
     model._spectrum.cache_clear()
+    model._expansion.cache_clear()
     states = evolve(initial, h, times)
     np.testing.assert_array_equal(evolve(initial, h, times), states)
     np.testing.assert_array_equal(memo_free_evolve(initial, h, times), states)
@@ -945,7 +991,8 @@ def test_evolve_and_moments_are_bitwise_consistent(params, bx, by, amplitudes, t
     for t, row in zip(times, states):
         np.testing.assert_array_equal(evolve(initial, h, t), row)
         np.testing.assert_array_equal(memo_free_evolve(initial, h, t), row)
-    assert model._spectrum.cache_info().misses == 1     # every other call was a hit
+    # one diagonalization and one expansion: every other call was a hit
+    assert model._spectrum.cache_info().misses == model._expansion.cache_info().misses == 1
     moments = moment_expectation(states, params)
     for i, state in enumerate(states):
         assert moment_expectation(state, params) == (moments.mx[i], moments.my[i])

@@ -30,6 +30,7 @@ from qtmpair.relaxation import (
     RelaxationDataset,
     RelaxationModel,
     fit,
+    model_lifetime,
     parse_dataset_csv,
     synthesize,
 )
@@ -104,6 +105,11 @@ def row(call, message, error=ValueError, *, id):
         id="evolve-matrices"),
     row(lambda: evolve(basis_state("1"), HERMITIAN, 1.0),
         "Hamiltonian must be real, got complex128 entries", id="evolve-complex"),
+    # a complex time, field or temperature is refused, not cut to its real part
+    row(lambda: evolve(basis_state("2"), H10, np.array([0.5 + 1j])),
+        "t_ns must be real, got complex128 values", id="evolve-complex-time"),
+    row(lambda: hamiltonian_stack(P10, by=np.array([0.3 + 1j])),
+        "field component by must be real, got complex128 values", id="stack-complex-field"),
     # ----------------------------------------------------------- analysis
     row(lambda: sweep_ratio(5.0, 5.0, 10),
         "need finite ratio_min < ratio_max, got 5.0 and 5.0", id="sweep-ratio-empty-range"),
@@ -146,6 +152,10 @@ def row(call, message, error=ValueError, *, id):
         "dataset must contain at least one point", id="dataset-no-point"),
     row(lambda: RelaxationDataset(points=((1.0, 2.0),)),
         "points must be LifetimePoint instances", TypeError, id="dataset-type"),
+    row(lambda: model_lifetime(SINGLE, np.array([1 + 1j])),
+        "t_kelvin must be real, got complex128 values", id="lifetime-complex-temperature"),
+    row(lambda: synthesize(SINGLE, np.array([1 + 1j, 2.0])),
+        "temperatures must be real, got complex128 values", id="synthesize-complex-temperature"),
     row(lambda: synthesize(SINGLE, [], 0.05, seed=0),
         "dataset must contain at least one point", id="synthesize-no-temperature"),
     row(lambda: synthesize(SINGLE, GRID_30, -0.1, seed=0),
