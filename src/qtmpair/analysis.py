@@ -14,7 +14,7 @@ import numpy as np
 
 from .constants import K_B_OVER_H_GHZ, MU_B_OVER_K_B
 from .model import eigensystem, hamiltonian_stack, moment_expectation
-from .model import zero_field_gap, zero_field_values
+from .model import _real, zero_field_gap, zero_field_values
 from .record import Record
 from .serialize import csv_text, json_text
 
@@ -141,6 +141,7 @@ def tunneling_from_splitting(delta, u=None, mode="exact"):
     these systems follow it, but it diverges from the exact inversion
     by a factor of order U/A in the protected regime.
     """
+    delta = _real(delta, "delta")
     if not np.isfinite(delta) or delta < 0:
         raise ValueError(f"splitting delta must be a finite value >= 0, got {delta}")
     if mode == "paper":

@@ -194,9 +194,7 @@ def eigensystem(h):
     the conventions of :class:`EigenSystem`.  Raises ``ValueError`` if ``h`` is complex,
     an entry is not finite or beyond ``MAX_ENTRY``, or a matrix is not symmetric.
     """
-    if np.iscomplexobj(h):      # a float cast would drop the imaginary part with a warning
-        raise ValueError(f"Hamiltonian must be real, got {np.asarray(h).dtype} entries")
-    h = np.asarray(h, dtype=float)
+    h = _real(h, "Hamiltonian")
     if h.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix or a stack of them, got shape {h.shape}")
     if not (np.abs(h) <= MAX_ENTRY).all():     # NaN fails too
@@ -271,7 +269,7 @@ def zero_field_gap(u, a):
     8 A^2 / D, D = hypot(U, 4A) + |U|, has no cancellation for |U| >> A; where it overflows or
     8 A^2 underflows, A * A / (D / 8) with the ratio capped at 2.  0 at A = 0, inf beyond float64.
     """
-    u, a = np.abs(np.asarray(u, dtype=float)), np.abs(np.asarray(a, dtype=float))
+    u, a = np.abs(_real(u, "u")), np.abs(_real(a, "a"))
     with np.errstate(all="ignore"):
         eight_a2, d = 8.0 * np.float_power(a, 2.0), np.hypot(u, 4.0 * a) + u
         gap = eight_a2 / d
@@ -292,7 +290,7 @@ def zero_field_values(u, a):
     bracket the spectrum.  Returns shape ``(..., 4)``, ascending.  Raises
     ``ValueError`` where a level exceeds float64.
     """
-    u, a = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(a, dtype=float))
+    u, a = np.broadcast_arrays(_real(u, "u"), _real(a, "a"))
     gap, negative = zero_field_gap(u, a), u < 0
     low, high = np.where(negative, u, 0.0), np.where(negative, 0.0, u)
     with np.errstate(over="ignore"):
@@ -390,9 +388,14 @@ def moment_expectation(state, params):
 
 
 @functools.lru_cache(maxsize=1)
-def _spectrum(data, dtype):
-    """Read-only eigenbasis, phase rates and max |rate| of the 4x4 matrix of ``dtype`` ``data``;
-    the basis is ``vectors.T`` as C-contiguous complex, as a real-by-complex product casts it."""
+def _expansion(state, state_shape, data, shape, dtype):
+    """Read-only coefficients of the complex state ``state`` in the eigenbasis of the 4x4 matrix
+    of ``dtype`` ``data``, that basis as ``vectors.T`` in C-contiguous complex (as a real-by-complex
+    product casts it), the phase rates and max |rate|; refused as :func:`evolve` documents."""
+    initial, _ = _check_normalized(np.frombuffer(state, complex).reshape(state_shape))
+    if state_shape != (4,) or shape != (4, 4):
+        raise ValueError(f"evolve takes one state (4,) and one 4x4 Hamiltonian, "
+                         f"got shapes {state_shape} and {shape}")
     es = eigensystem(np.frombuffer(data, dtype).reshape(4, 4))
     with np.errstate(over="ignore"):
         rates = -2j * np.pi * K_B_OVER_H_GHZ * es.values
@@ -400,22 +403,9 @@ def _spectrum(data, dtype):
         i = _first(~np.isfinite(rates))
         raise ValueError(f"phase rate of level {i} ({es.values[i]} K) exceeds float64")
     basis = np.ascontiguousarray(es.vectors.T, dtype=complex)
-    basis.flags.writeable = rates.flags.writeable = False
-    return basis, rates, float(np.abs(rates.imag).max())
-
-
-@functools.lru_cache(maxsize=1)
-def _expansion(state, state_shape, data, shape, dtype):
-    """Read-only coefficients of the complex state ``state`` in the eigenbasis of the matrix
-    ``data``, then what :func:`_spectrum` returns; refused as :func:`evolve` documents."""
-    initial, _ = _check_normalized(np.frombuffer(state, complex).reshape(state_shape))
-    if state_shape != (4,) or shape != (4, 4):
-        raise ValueError(f"evolve takes one state (4,) and one 4x4 Hamiltonian, "
-                         f"got shapes {state_shape} and {shape}")
-    basis, rates, top = _spectrum(data, dtype)
     coefficients = basis.dot(initial)
-    coefficients.flags.writeable = False
-    return coefficients, basis, rates, top
+    coefficients.flags.writeable = basis.flags.writeable = rates.flags.writeable = False
+    return coefficients, basis, rates, float(np.abs(rates.imag).max())
 
 
 def evolve(initial, h, t_ns):
@@ -423,10 +413,10 @@ def evolve(initial, h, t_ns):
 
     Diagonalizes ``h`` once, expands the state in the eigenbasis and
     applies the phase factors exp(-i * 2*pi * (k_B/h) * lambda_i * t); a
-    splitting of 1 K oscillates at 20.836619 GHz.  The last eigenbasis and
-    its phase rates are kept for a call whose ``h`` has the same entries
-    and dtype, and the state's coefficients in it for a call whose complex state
-    and ``h`` have the same entries and shapes; a refused call is never kept.
+    splitting of 1 K oscillates at 20.836619 GHz.  The last state's
+    coefficients in the eigenbasis, that basis and its phase rates are kept
+    for a call whose complex state and ``h`` have the same entries and shapes,
+    and ``h`` the same dtype; a refused call is never kept.
     ``t_ns`` is a real finite scalar, giving a state of shape ``(4,)``,
     or an array of finite times, giving one state per time (shape
     ``(..., 4)``).  The norm is preserved and the map is reversible (t -> -t).

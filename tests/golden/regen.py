@@ -9,6 +9,7 @@ files each case wrote through ``--output`` or ``--curve-output``) and
 prints, per subcommand, how many cells moved against the old record and by
 how much, and which cases of the old record the new one drops.  While any
 case raises a Python warning it writes nothing and names the case instead.
+It takes no arguments: given any, it prints this text and writes nothing.
 ``tests/test_golden.py`` runs the same cases and checks them with
 :func:`mismatches`, one test per case.
 """
@@ -242,7 +243,9 @@ def report(old_records, new_records):
     return "\n".join(lines)
 
 
-def main():
+def main(argv=()):
+    if argv:
+        sys.exit(__doc__)
     sys.path.insert(0, str(HERE.parents[1] / "src"))
     with tempfile.TemporaryDirectory() as workdir:
         records = run_cases(workdir, load_cases())
@@ -257,4 +260,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

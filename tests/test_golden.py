@@ -36,6 +36,14 @@ def test_record_lists_every_case_in_order():
     assert list(RECORD) == CASES, "run tests/golden/regen.py"
 
 
+def test_regen_refuses_arguments_and_writes_nothing(monkeypatch, tmp_path):
+    monkeypatch.setattr(regen, "EXPECTED", tmp_path / "expected.json")
+    with pytest.raises(SystemExit) as exit_:
+        regen.main(["--help"])
+    assert exit_.value.code == regen.__doc__
+    assert not regen.EXPECTED.exists()
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_cli_output_matches_the_golden_corpus(actual, case):
     assert not (problems := regen.mismatches(RECORD[case], actual[case])), "\n".join(problems)

@@ -743,7 +743,6 @@ def counters(monkeypatch):
 
     counting("eigensystem", eigensystem)
     counting("check", model._check_normalized)
-    model._spectrum.cache_clear()
     model._expansion.cache_clear()
     return calls
 
@@ -755,10 +754,10 @@ def test_evolve_diagonalizes_a_repeated_hamiltonian_once(monkeypatch):
         evolve(basis_state("2"), h, t)
     # one diagonalization, and one check of the state
     assert (len(calls["eigensystem"]), len(calls["check"])) == (1, 1)
-    # a new state under the same h is checked, and expanded in the kept eigenbasis
+    # a new state under the same h is checked again
     initial = basis_state("1bar")
     np.testing.assert_array_equal(evolve(initial, h, 0.3), memo_free_evolve(initial, h, 0.3))
-    assert (len(calls["eigensystem"]), len(calls["check"])) == (1, 2)
+    assert len(calls["check"]) == 2
 
 
 def test_evolve_checks_a_state_changed_in_place(monkeypatch):
@@ -774,7 +773,7 @@ def test_evolve_checks_a_state_changed_in_place(monkeypatch):
     for _ in range(2):      # a refusal is never kept
         with pytest.raises(ValueError, match=message):
             evolve(state, h, 0.5)
-    assert (len(calls["eigensystem"]), len(calls["check"])) == (1, 4)
+    assert len(calls["check"]) == 4
 
 
 def test_evolve_memo_key_carries_shapes():
@@ -841,7 +840,7 @@ def test_evolve_memo_is_read_only_and_never_handed_out():
     h = build_hamiltonian(P10, FieldVector(bx=0.2, by=0.1))
     initial = basis_state("1bar")
     key = (initial.tobytes(), initial.shape, h.tobytes(), h.shape, h.dtype)
-    for array in model._spectrum(h.tobytes(), h.dtype)[:2] + model._expansion(*key)[:1]:
+    for array in model._expansion(*key)[:3]:     # coefficients, basis and phase rates
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
@@ -978,7 +977,6 @@ def test_evolve_and_moments_are_bitwise_consistent(params, bx, by, amplitudes, t
     h = hamiltonian_stack(params, bx, by)
     initial = np.asarray(amplitudes) / np.linalg.norm(amplitudes)
     times = np.asarray(times)
-    model._spectrum.cache_clear()
     model._expansion.cache_clear()
     states = evolve(initial, h, times)
     np.testing.assert_array_equal(evolve(initial, h, times), states)
@@ -991,8 +989,8 @@ def test_evolve_and_moments_are_bitwise_consistent(params, bx, by, amplitudes, t
     for t, row in zip(times, states):
         np.testing.assert_array_equal(evolve(initial, h, t), row)
         np.testing.assert_array_equal(memo_free_evolve(initial, h, t), row)
-    # one diagonalization and one expansion: every other call was a hit
-    assert model._spectrum.cache_info().misses == model._expansion.cache_info().misses == 1
+    # one check, diagonalization and expansion: every other call was a hit
+    assert model._expansion.cache_info().misses == 1
     moments = moment_expectation(states, params)
     for i, state in enumerate(states):
         assert moment_expectation(state, params) == (moments.mx[i], moments.my[i])

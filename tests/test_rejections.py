@@ -23,6 +23,8 @@ from qtmpair.model import (
     eigensystem,
     evolve,
     hamiltonian_stack,
+    zero_field_gap,
+    zero_field_values,
 )
 from qtmpair.relaxation import (
     ArrheniusProcess,
@@ -78,7 +80,7 @@ def row(call, message, error=ValueError, *, id):
     row(lambda: eigensystem(0.0),
         "expected a 4x4 matrix or a stack of them, got shape ()", id="eigensystem-scalar"),
     row(lambda: eigensystem(HERMITIAN),
-        "Hamiltonian must be real, got complex128 entries", id="eigensystem-complex"),
+        "Hamiltonian must be real, got complex128 values", id="eigensystem-complex"),
     row(lambda: eigensystem(spoiled(H10, ((2, 3), np.nan), ((3, 2), np.nan))),
         "Hamiltonian has non-finite entries", id="eigensystem-nan"),
     row(lambda: eigensystem(np.stack([H10, np.full((4, 4), np.inf)])),
@@ -104,12 +106,16 @@ def row(call, message, error=ValueError, *, id):
         "evolve takes one state (4,) and one 4x4 Hamiltonian, got shapes (4,) and (2, 4, 4)",
         id="evolve-matrices"),
     row(lambda: evolve(basis_state("1"), HERMITIAN, 1.0),
-        "Hamiltonian must be real, got complex128 entries", id="evolve-complex"),
-    # a complex time, field or temperature is refused, not cut to its real part
+        "Hamiltonian must be real, got complex128 values", id="evolve-complex"),
+    # a complex time, field, parameter or temperature is refused, not cut to its real part
     row(lambda: evolve(basis_state("2"), H10, np.array([0.5 + 1j])),
         "t_ns must be real, got complex128 values", id="evolve-complex-time"),
     row(lambda: hamiltonian_stack(P10, by=np.array([0.3 + 1j])),
         "field component by must be real, got complex128 values", id="stack-complex-field"),
+    row(lambda: zero_field_gap(np.complex128(1 + 1j), 1.0),
+        "u must be real, got complex128 values", id="gap-complex-u"),
+    row(lambda: zero_field_values(1.0, np.array([1 + 1j])),
+        "a must be real, got complex128 values", id="zero-field-values-complex-a"),
     # ----------------------------------------------------------- analysis
     row(lambda: sweep_ratio(5.0, 5.0, 10),
         "need finite ratio_min < ratio_max, got 5.0 and 5.0", id="sweep-ratio-empty-range"),
@@ -125,6 +131,9 @@ def row(call, message, error=ValueError, *, id):
         id="sweep-field-threshold-underflow"),
     row(lambda: tunneling_from_splitting(-0.1, mode="paper"),
         "splitting delta must be a finite value >= 0, got -0.1", id="negative-splitting"),
+    # the quarter rule takes a complex delta with no warning at all
+    row(lambda: tunneling_from_splitting(np.complex128(1 + 1j), mode="paper"),
+        "delta must be real, got complex128 values", id="complex-splitting"),
     row(lambda: tunneling_from_splitting(0.3, mode="exact"),
         "exact inversion requires a finite u >= 0, got None", id="exact-inversion-no-u"),
     row(lambda: tunneling_from_splitting(0.3, u=-1.0, mode="exact"),
