@@ -147,6 +147,7 @@ def tunneling_from_splitting(delta, u=None, mode="exact"):
     if mode == "paper":
         return delta / 4.0
     if mode == "exact":
+        u = u if u is None else _real(u, "u")
         if u is None or not np.isfinite(u) or u < 0:
             raise ValueError(f"exact inversion requires a finite u >= 0, got {u}")
         delta, u = float(delta), float(u)    # Python floats overflow to inf without a warning
@@ -159,7 +160,7 @@ def tunneling_from_splitting(delta, u=None, mode="exact"):
 
 def kelvin_to_gigahertz(delta):
     """Oscillation frequency of an energy splitting: delta * k_B/h in GHz."""
-    frequency = float(delta) * K_B_OVER_H_GHZ
+    frequency = float(_real(delta, "delta")) * K_B_OVER_H_GHZ
     if not math.isfinite(frequency):
         raise ValueError(f"delta must be finite with a finite frequency, got {delta}")
     return frequency

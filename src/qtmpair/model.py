@@ -388,15 +388,12 @@ def moment_expectation(state, params):
 
 
 @functools.lru_cache(maxsize=1)
-def _expansion(state, state_shape, data, shape, dtype):
-    """Read-only coefficients of the complex state ``state`` in the eigenbasis of the 4x4 matrix
-    of ``dtype`` ``data``, that basis as ``vectors.T`` in C-contiguous complex (as a real-by-complex
-    product casts it), the phase rates and max |rate|; refused as :func:`evolve` documents."""
-    initial, _ = _check_normalized(np.frombuffer(state, complex).reshape(state_shape))
-    if state_shape != (4,) or shape != (4, 4):
-        raise ValueError(f"evolve takes one state (4,) and one 4x4 Hamiltonian, "
-                         f"got shapes {state_shape} and {shape}")
-    es = eigensystem(np.frombuffer(data, dtype).reshape(4, 4))
+def _expansion(state, data):
+    """Read-only coefficients of the complex (4,) ``state`` in the eigenbasis of the float64 4x4
+    ``data`` (both as bytes), that basis as ``vectors.T`` in C-contiguous complex (as a real-by-
+    complex product casts it), the phase rates and max |rate|; refused as :func:`evolve` says."""
+    initial, _ = _check_normalized(np.frombuffer(state, complex))
+    es = eigensystem(np.frombuffer(data).reshape(4, 4))
     with np.errstate(over="ignore"):
         rates = -2j * np.pi * K_B_OVER_H_GHZ * es.values
     if not np.isfinite(rates).all():
@@ -415,21 +412,22 @@ def evolve(initial, h, t_ns):
     applies the phase factors exp(-i * 2*pi * (k_B/h) * lambda_i * t); a
     splitting of 1 K oscillates at 20.836619 GHz.  The last state's
     coefficients in the eigenbasis, that basis and its phase rates are kept
-    for a call whose complex state and ``h`` have the same entries and shapes,
-    and ``h`` the same dtype; a refused call is never kept.
+    for a call whose state (as complex) and ``h`` (as float64) have the same
+    entries; a refused call is never kept, and a wrong shape never reaches it.
     ``t_ns`` is a real finite scalar, giving a state of shape ``(4,)``,
     or an array of finite times, giving one state per time (shape
     ``(..., 4)``).  The norm is preserved and the map is reversible (t -> -t).
     Raises ``ValueError`` for an ``h`` that :func:`eigensystem` refuses, a
     complex one included, a complex time, and where a phase rate or a phase exceeds float64.
     """
-    initial = np.asarray(initial, dtype=complex)
-    h = np.asarray(h)     # cast, or refused if complex, once per new matrix by eigensystem
-    if h.dtype.hasobject:     # its bytes are pointers, no memo key: cast it here instead
-        h = h.astype(float)
-    coefficients, basis, rates, top = _expansion(
-        initial.tobytes(), initial.shape, h.tobytes(), h.shape, h.dtype
-    )
+    initial, h = np.asarray(initial, dtype=complex), np.asarray(h)
+    if initial.shape != (4,) or h.shape != (4, 4):     # an unnormalized state is named first
+        _check_normalized(initial)
+        raise ValueError(f"evolve takes one state (4,) and one 4x4 Hamiltonian, "
+                         f"got shapes {initial.shape} and {h.shape}")
+    if h.dtype != float:    # the key holds float64 bytes; skipping _real saves ~4 % of a memo hit
+        h = _real(h, "Hamiltonian")
+    coefficients, basis, rates, top = _expansion(initial.tobytes(), h.tobytes())
     t = _real(t_ns, "t_ns")
     # each phase is one rounded product rate * t, so all are finite when top * max|t| is;
     # a NaN or infinite time fails this too (a 0-d .max() is slow)

@@ -249,17 +249,17 @@ def synthesize(model, temperatures, noise_sigma=0.0, seed=0):
     """Generate a synthetic dataset with lognormal lifetime scatter.
 
     Each lifetime is the model value times exp(eps) with eps drawn from a
-    Gaussian of width ``noise_sigma`` by a seeded generator; the same seed
-    always yields the same dataset.
+    Gaussian of width ``noise_sigma`` by a generator seeded with the
+    non-negative integer ``seed``; the same seed always yields the same dataset.
     """
     temps = _real(temperatures, "temperatures").ravel()
+    noise_sigma = float(_real(noise_sigma, "noise_sigma"))
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):     # None would draw afresh
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            eps = np.random.default_rng(seed).standard_normal(temps.size) * noise_sigma
-        except ValueError:      # numpy's message names neither the seed nor its value
-            raise ValueError(f"seed must be a non-negative integer, got {seed!r}") from None
+        eps = np.random.default_rng(seed).standard_normal(temps.size) * noise_sigma
         taus = model_lifetime(model, temps) * np.exp(eps)
     bad = ~(taus < np.inf)      # inf, or NaN from a zero lifetime times an infinite factor
     if bad.any():
@@ -342,13 +342,15 @@ def fit(data, n_processes):
         raise ValueError(f"1/T^2 and 1/sigma_ln_tau^2 must be nonzero with sums within float64, "
                          f"got T = {t[i]} K, sigma_ln_tau = {data.points[i].sigma_ln_tau}")
 
+    def state(theta):
+        """Weighted objective, residual and Jacobian of the model at ``theta``."""
+        ln_tau, jac = _evaluate(theta, t)
+        residual = y - ln_tau
+        return float((weights * residual**2).sum()), residual, jac
     theta = _segmented_init(t, y, n_processes)
-    ln_tau, jac = _evaluate(theta, t)
-    residual = y - ln_tau
-    terms = weights * residual**2
-    obj = float(terms.sum())
+    obj, residual, jac = state(theta)
     if not (math.isfinite(obj) and np.isfinite(jac).all()):
-        i = _first(~np.isfinite(np.column_stack([terms, jac])).all(axis=1))
+        i = _first(~np.isfinite(np.column_stack([weights * residual**2, jac])).all(axis=1))
         raise ValueError(f"start lines give a residual or slope beyond float64 at T = {t[i]} K")
     trace = [obj]
     damping = 1e-3
@@ -366,9 +368,7 @@ def fit(data, n_processes):
                 damping *= DAMPING_FACTOR
                 continue
             candidate = theta + step
-            cand_ln_tau, cand_jac = _evaluate(candidate, t)
-            cand_residual = y - cand_ln_tau
-            cand_obj = float((weights * cand_residual**2).sum())
+            cand_obj, cand_residual, cand_jac = state(candidate)
             if math.isfinite(cand_obj) and cand_obj <= obj and np.isfinite(cand_jac).all():
                 change = obj - cand_obj
                 theta, obj, residual, jac = candidate, cand_obj, cand_residual, cand_jac
@@ -385,9 +385,8 @@ def fit(data, n_processes):
 
     pairs = theta.reshape(-1, 2)    # (ln tau0, delta) rows, by barrier and then ln tau0,
     pairs = pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))]   # the order of RelaxationModel
-    ln_tau, jac = _evaluate(pairs.ravel(), t)
-    residual = y - ln_tau
-    covariance, std_errors = _covariance((jac.T * weights) @ jac, residual, weights, n_params)
+    obj, residual, jac = state(pairs.ravel())
+    covariance, std_errors = _covariance((jac.T * weights) @ jac, obj, weights, n_params)
 
     model = RelaxationModel(    # ArrheniusProcess rejects a prefactor beyond float64
         [ArrheniusProcess(float(np.exp(ln_tau0)), float(delta)) for ln_tau0, delta in pairs]
@@ -403,8 +402,8 @@ def fit(data, n_processes):
     )
 
 
-def _covariance(normal, residual, weights, n_params):
-    """Invert the normal matrix, scaled by the residual variance (under the errstate of fit)."""
+def _covariance(normal, objective, weights, n_params):
+    """Invert the normal matrix, scaled by s^2 = objective / dof (under the errstate of fit)."""
     if np.linalg.cond(normal) > CONDITION_LIMIT:
         pair = _degenerate_pair(normal, n_params)
         raise DegenerateParametersError(
@@ -412,9 +411,7 @@ def _covariance(normal, residual, weights, n_params):
             "are degenerate (channels may have collapsed onto each other)",
             parameter_pair=pair,
         )
-    dof = len(residual) - n_params
-    s2 = float(np.sum(weights * residual**2)) / dof
-    covariance = s2 * np.linalg.inv(normal)
+    covariance = objective / (len(weights) - n_params) * np.linalg.inv(normal)
     covariance = (covariance + covariance.T) / 2.0
     if not np.isfinite(covariance).all():   # the normal matrix scales with w: too small ones
         raise ValueError(f"covariance exceeds float64 for weights down to {weights.min()}")

@@ -776,7 +776,9 @@ def test_evolve_checks_a_state_changed_in_place(monkeypatch):
     assert len(calls["check"]) == 4
 
 
-def test_evolve_memo_key_carries_shapes():
+def test_evolve_refuses_shapes_before_the_memo():
+    # a reshaped state or h has the same bytes as the accepted one, and is refused all the same
+    model._expansion.cache_clear()
     h = build_hamiltonian(P10, FieldVector(bx=0.1, by=0.2))
     state = basis_state("1")
     evolve(state, h, 0.5)
@@ -786,6 +788,7 @@ def test_evolve_memo_key_carries_shapes():
     message = "evolve takes one state (4,) and one 4x4 Hamiltonian, got shapes (4,) and (2, 8)"
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         evolve(state, h.reshape(2, 8), 0.5)
+    assert model._expansion.cache_info().misses == 1     # neither refusal reached the memo
 
 
 def test_evolve_alternating_hamiltonians_equal_the_memo_free_form():
@@ -832,14 +835,17 @@ def test_evolve_follows_the_content_of_h():
     assert not np.allclose(before, after)
     integer = np.array([[0, -1, 0, -1], [-1, 0, -1, 0], [0, -1, 3, 0], [-1, 0, 0, 5]])
     expected = memo_free_evolve(initial, integer.astype(float), 0.7)
+    misses = model._expansion.cache_info().misses
     for matrix in (integer, integer.astype(float), integer.astype(object), integer):
         np.testing.assert_array_equal(evolve(initial, matrix, 0.7), expected)
+    # one content, one key: every dtype is keyed by its float64 bytes
+    assert model._expansion.cache_info().misses == misses + 1
 
 
 def test_evolve_memo_is_read_only_and_never_handed_out():
     h = build_hamiltonian(P10, FieldVector(bx=0.2, by=0.1))
     initial = basis_state("1bar")
-    key = (initial.tobytes(), initial.shape, h.tobytes(), h.shape, h.dtype)
+    key = (initial.tobytes(), h.tobytes())
     for array in model._expansion(*key)[:3]:     # coefficients, basis and phase rates
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

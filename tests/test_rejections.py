@@ -140,10 +140,14 @@ def row(call, message, error=ValueError, *, id):
         "exact inversion requires a finite u >= 0, got -1.0", id="exact-inversion-negative-u"),
     row(lambda: tunneling_from_splitting(0.3, u=math.nan, mode="exact"),
         "exact inversion requires a finite u >= 0, got nan", id="exact-inversion-nan-u"),
+    row(lambda: tunneling_from_splitting(0.3, u=np.complex128(1 + 1j), mode="exact"),
+        "u must be real, got complex128 values", id="exact-inversion-complex-u"),
     row(lambda: tunneling_from_splitting(0.3, u=1.0, mode="fast"),
         "mode must be 'paper' or 'exact', got 'fast'", id="extraction-mode"),
     row(lambda: kelvin_to_gigahertz(math.nan),
         "delta must be finite with a finite frequency, got nan", id="frequency-nan"),
+    row(lambda: kelvin_to_gigahertz(np.complex128(1 + 1j)),
+        "delta must be real, got complex128 values", id="frequency-complex"),
     # --------------------------------------------------------- relaxation
     row(lambda: ArrheniusProcess(tau0=1.0, delta=-0.1),
         "barrier delta must be >= 0 and finite, got -0.1", id="negative-barrier"),
@@ -169,6 +173,13 @@ def row(call, message, error=ValueError, *, id):
         "dataset must contain at least one point", id="synthesize-no-temperature"),
     row(lambda: synthesize(SINGLE, GRID_30, -0.1, seed=0),
         "noise_sigma must be finite and >= 0, got -0.1", id="synthesize-negative-noise"),
+    row(lambda: synthesize(SINGLE, GRID_30, 1j, seed=0),
+        "noise_sigma must be real, got complex128 values", id="synthesize-complex-noise"),
+    # None would draw from fresh OS entropy, a new dataset on every call
+    row(lambda: synthesize(SINGLE, GRID_30, 0.05, seed=None),
+        "seed must be a non-negative integer, got None", id="synthesize-no-seed"),
+    row(lambda: synthesize(SINGLE, GRID_30, 0.05, seed=1.5),
+        "seed must be a non-negative integer, got 1.5", id="synthesize-fractional-seed"),
     row(lambda: fit(SEVEN, 2),
         "need at least 8 points to fit 2 processes, got 7", id="fit-undersized"),
     row(lambda: fit(SEVEN, 0),
